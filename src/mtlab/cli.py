@@ -17,13 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Graph, Tensor
+from .autodiff import Tensor
 from .config import ConfigError, ExperimentConfig, load_config
 from .diagnostics import concentration_experiment, consecutive_trace, pairwise_matrix
 from .metrics import (MaskError, accuracy, connected_components,
                       instances_from_class_map, panoptic_quality, rolling_mean)
 from .model import ParamStore, build_encoder, forward_task
-from .tasks import (KIND_CLASSIFICATION, TaskDataset, _task_seed,
+from .tasks import (KIND_BINARY_SEG, KIND_CLASSIFICATION, TaskDataset, _task_seed,
                     default_suite, gen_classification_task, gen_segmentation_task,
                     load_dataset, load_mask, save_dataset)
 from .tensorio import FileFormatError
@@ -84,11 +84,16 @@ def _load_manifest_tasks(cfg: ExperimentConfig) -> list[TaskDataset]:
     if not cfg.manifest_path.exists():
         raise DataError(f"no dataset manifest at {cfg.manifest_path}; "
                         f"run 'mtlab generate' first")
-    with open(cfg.manifest_path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(cfg.manifest_path) as fh:
+            paths = [cfg.data_dir / entry["path"] for entry in json.load(fh)["tasks"]]
+    except json.JSONDecodeError as exc:
+        raise DataError(f"manifest {cfg.manifest_path} is not valid JSON: {exc}") from None
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"manifest {cfg.manifest_path} needs a 'tasks' list of entries "
+                        f"with a 'path': {exc!r}") from None
     tasks = []
-    for entry in manifest["tasks"]:
-        path = cfg.data_dir / entry["path"]
+    for path in paths:
         if not path.exists():
             raise DataError(f"dataset file {path} listed in manifest is missing")
         tasks.append(load_dataset(path))
@@ -121,15 +126,15 @@ def _sampler(cfg: ExperimentConfig, k: int) -> SamplerConfig:
 # evaluation
 
 def evaluate_task(encoder, decoder, ds: TaskDataset) -> tuple[str, float]:
-    """Eval-split metric for one task: accuracy or mean panoptic quality."""
+    """Eval-split metric for one task, untaped: accuracy or mean panoptic quality."""
     idx = ds.indices("eval")
     x = Tensor(ds.inputs[idx])
-    pred = forward_task(encoder, decoder, x, Graph()).data
+    pred = forward_task(encoder, decoder, x, None).data
     if ds.spec.kind == KIND_CLASSIFICATION:
         return "accuracy", accuracy(pred.argmax(axis=1), ds.targets[idx])
     pqs = []
     for row, i in enumerate(idx):
-        if decoder.nonlinearity == "sigmoid":
+        if ds.spec.kind == KIND_BINARY_SEG:
             inst = connected_components(pred[row, 0] >= 0.5)
             pqs.append(panoptic_quality(inst, ds.gt_mask(i)).pq)
         else:

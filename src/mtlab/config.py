@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .model import Activation, Conv, Dense, GlobalAvgPool
-from .tasks import KIND_BINARY_SEG, KIND_CLASSIFICATION, KIND_INSTANCE_SEG
+from .tasks import (CLASSIFICATION_ARITIES, KIND_BINARY_SEG, KIND_CLASSIFICATION,
+                    KIND_INSTANCE_SEG)
 
 
 class ConfigError(ValueError):
@@ -139,7 +140,7 @@ def load_config(path=None, seed_override=None, out_override=None) -> ExperimentC
     if seed_override is not None:
         merged["seed"] = seed_override
     if out_override is not None:
-        merged["out_dir"] = out_override
+        merged["out_dir"] = str(out_override)  # raw is written back out as JSON
 
     _require(isinstance(merged["seed"], int) and merged["seed"] >= 0,
              "seed must be a nonnegative integer")
@@ -165,8 +166,9 @@ def load_config(path=None, seed_override=None, out_override=None) -> ExperimentC
     else:
         _require(suite.get("preset") == "default",
                  f"suite needs either tasks or preset 'default', got {suite!r}")
-        _require(int(suite.get("n_train", 128)) >= max(9, 1),
-                 "default suite needs n_train >= 9 (largest class count)")
+        most = max(CLASSIFICATION_ARITIES)
+        _require(int(suite.get("n_train", 128)) >= most,
+                 f"default suite needs n_train >= {most} (largest class count)")
         _require(int(suite.get("n_eval", 64)) >= 1, "default suite needs n_eval >= 1")
 
     alpha = merged["alpha"]

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 
@@ -185,8 +186,10 @@ def rolling_mean(series, window: int) -> np.ndarray:
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 1:
         raise ValueError("series must be 1-D")
-    return np.array([series[max(0, i - window + 1):i + 1].mean()
-                     for i in range(len(series))])
+    head = np.array([series[:i + 1].mean() for i in range(min(window - 1, series.size))])
+    if series.size < window:
+        return head
+    return np.concatenate([head, sliding_window_view(series, window).mean(axis=1)])
 
 
 def connected_components(mask: np.ndarray, cls: int = 1) -> InstanceMask:

@@ -4,9 +4,10 @@ The encoder is a small configurable stack (convs, activations, one optional
 global-average-pool); it exposes both the pooled/flattened feature vector
 for classification heads and the pre-pool spatial map for segmentation
 heads, so one encoder serves a mixed task set. Decoders are deliberately
-thin: a single fully connected layer plus softmax/sigmoid for
-classification, nearest-neighbor upsampling plus a 1x1 projection with a
-per-pixel softmax/sigmoid for segmentation.
+thin: a single fully connected layer plus softmax for classification,
+nearest-neighbor upsampling plus a 1x1 projection with a per-pixel softmax
+(or sigmoid for a one-class mask) for segmentation. Passing `graph=None` to
+the forward functions runs them untaped, for inference.
 """
 
 from __future__ import annotations
@@ -97,6 +98,12 @@ class Dense:
     out_dim: int
 
 
+def _leaf(graph: Graph | None, store: ParamStore, param_id: str) -> Tensor:
+    """A stored parameter, attached to `graph` as a trainable leaf if there is one."""
+    t = store.get(param_id)
+    return t if graph is None else graph.param(param_id, t)
+
+
 def _uniform_init(rng, fan_in: int, fan_out: int, shape) -> Tensor:
     s = math.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-s, s, size=shape))
@@ -148,34 +155,27 @@ class EncoderModel:
     store: ParamStore = field(repr=False, default=None)
     param_ids: list[str] = field(default_factory=list)
 
-    def _run(self, graph: Graph, x: Tensor, upto: int) -> Tensor:
-        store = self.store
+    def _run(self, graph: Graph | None, x: Tensor, upto: int) -> Tensor:
         h = x
         for i, layer in enumerate(self.layers[:upto]):
-            if isinstance(layer, Conv):
-                w = graph.param(f"{self.group}/layer{i:02d}.weight",
-                                store.get(f"{self.group}/layer{i:02d}.weight"))
-                b = graph.param(f"{self.group}/layer{i:02d}.bias",
-                                store.get(f"{self.group}/layer{i:02d}.bias"))
-                h = ad.add(ad.conv2d(h, w, stride=layer.stride, padding=layer.padding), b)
+            if isinstance(layer, (Conv, Dense)):
+                w = _leaf(graph, self.store, f"{self.group}/layer{i:02d}.weight")
+                b = _leaf(graph, self.store, f"{self.group}/layer{i:02d}.bias")
+                h = (ad.conv2d(h, w, stride=layer.stride, padding=layer.padding)
+                     if isinstance(layer, Conv) else ad.matmul(h, w))
+                h = ad.add(h, b)
             elif isinstance(layer, Activation):
                 h = ad.apply_activation(h, layer.kind)
             elif isinstance(layer, GlobalAvgPool):
                 h = ad.global_avg_pool(h)
-            elif isinstance(layer, Dense):
-                w = graph.param(f"{self.group}/layer{i:02d}.weight",
-                                store.get(f"{self.group}/layer{i:02d}.weight"))
-                b = graph.param(f"{self.group}/layer{i:02d}.bias",
-                                store.get(f"{self.group}/layer{i:02d}.bias"))
-                h = ad.add(ad.matmul(h, w), b)
         return h
 
-    def forward_map(self, graph: Graph, x: Tensor) -> Tensor:
+    def forward_map(self, graph: Graph | None, x: Tensor) -> Tensor:
         """Pre-pool spatial feature map, (B, C, H, W)."""
         self._check_input(x)
         return self._run(graph, x, self.trunk_len)
 
-    def forward_features(self, graph: Graph, x: Tensor) -> Tensor:
+    def forward_features(self, graph: Graph | None, x: Tensor) -> Tensor:
         """Pooled/flattened feature vectors, (B, feature_dim)."""
         self._check_input(x)
         h = self._run(graph, x, len(self.layers))
@@ -190,9 +190,9 @@ class EncoderModel:
                 f"{self.input_shape} (inputs are batched)")
 
 
-def build_encoder(spec: list, input_shape, store: ParamStore, rng,
-                  group: str = "encoder") -> EncoderModel:
-    """Validate the layer stack, initialize its parameters, register them.
+def build_encoder(spec: list, input_shape, store: ParamStore, rng) -> EncoderModel:
+    """Validate the layer stack, initialize its parameters, register them
+    in the "encoder" group.
 
     Weights are Uniform(-s, s) with s = sqrt(6 / (fan_in + fan_out)),
     biases zero. An empty spec is the identity encoder whose feature is the
@@ -202,6 +202,7 @@ def build_encoder(spec: list, input_shape, store: ParamStore, rng,
     if any(d < 1 for d in input_shape):
         raise ModelSpecError(f"input shape must be positive, got {input_shape}")
 
+    group = "encoder"
     shape = input_shape
     trunk_len = len(spec)
     param_ids = []
@@ -216,15 +217,13 @@ def build_encoder(spec: list, input_shape, store: ParamStore, rng,
             w = _uniform_init(rng, fan_in, fan_out,
                               (layer.filters, c, layer.kernel, layer.kernel))
             b = Tensor(np.zeros((layer.filters, 1, 1)))
-            store.add(group, f"{group}/layer{i:02d}.weight", w)
-            store.add(group, f"{group}/layer{i:02d}.bias", b)
-            param_ids += [f"{group}/layer{i:02d}.weight", f"{group}/layer{i:02d}.bias"]
         elif isinstance(layer, Dense):
             w = _uniform_init(rng, shape[0], layer.out_dim, (shape[0], layer.out_dim))
             b = Tensor(np.zeros(layer.out_dim))
-            store.add(group, f"{group}/layer{i:02d}.weight", w)
-            store.add(group, f"{group}/layer{i:02d}.bias", b)
-            param_ids += [f"{group}/layer{i:02d}.weight", f"{group}/layer{i:02d}.bias"]
+        if isinstance(layer, (Conv, Dense)):
+            for name, t in (("weight", w), ("bias", b)):
+                store.add(group, f"{group}/layer{i:02d}.{name}", t)
+                param_ids.append(f"{group}/layer{i:02d}.{name}")
         shape = new_shape
 
     map_shape = input_shape
@@ -240,30 +239,26 @@ def build_encoder(spec: list, input_shape, store: ParamStore, rng,
 
 @dataclass
 class ClassificationDecoder:
-    """One fully connected layer plus softmax or sigmoid."""
+    """One fully connected layer plus softmax."""
 
     task_id: int
     group: str
     in_dim: int
     num_classes: int
-    nonlinearity: str  # softmax | sigmoid
     store: ParamStore = field(repr=False, default=None)
     kind: str = "classification"
 
-    def forward_logits(self, graph: Graph, features: Tensor) -> Tensor:
-        store = self.store
+    def forward_logits(self, graph: Graph | None, features: Tensor) -> Tensor:
         if len(features.shape) != 2 or features.shape[1] != self.in_dim:
             raise ModelSpecError(
                 f"decoder for task {self.task_id} expects (B, {self.in_dim}) features, "
                 f"got {features.shape}")
-        w = graph.param(f"{self.group}/head.weight", store.get(f"{self.group}/head.weight"))
-        b = graph.param(f"{self.group}/head.bias", store.get(f"{self.group}/head.bias"))
+        w = _leaf(graph, self.store, f"{self.group}/head.weight")
+        b = _leaf(graph, self.store, f"{self.group}/head.bias")
         return ad.add(ad.matmul(features, w), b)
 
     def predict(self, logits: Tensor) -> Tensor:
-        if self.nonlinearity == "softmax":
-            return ad.softmax(logits)
-        return ad.sigmoid(logits)
+        return ad.softmax(logits)
 
 
 @dataclass
@@ -276,12 +271,15 @@ class SegmentationDecoder:
     num_classes: int
     upsample_factors: tuple[int, ...]
     output_hw: tuple[int, int]
-    nonlinearity: str
     store: ParamStore = field(repr=False, default=None)
     kind: str = "segmentation"
 
-    def forward_logits(self, graph: Graph, feature_map: Tensor) -> Tensor:
-        store = self.store
+    @property
+    def nonlinearity(self) -> str:
+        """A one-class head is a sigmoid mask; K >= 2 classes take a softmax."""
+        return "sigmoid" if self.num_classes == 1 else "softmax"
+
+    def forward_logits(self, graph: Graph | None, feature_map: Tensor) -> Tensor:
         if feature_map.shape[1:] != self.map_shape:
             raise ModelSpecError(
                 f"decoder for task {self.task_id} expects feature map {self.map_shape}, "
@@ -289,8 +287,8 @@ class SegmentationDecoder:
         h = feature_map
         for f in self.upsample_factors:
             h = ad.upsample_nearest(h, f)
-        w = graph.param(f"{self.group}/proj.weight", store.get(f"{self.group}/proj.weight"))
-        b = graph.param(f"{self.group}/proj.bias", store.get(f"{self.group}/proj.bias"))
+        w = _leaf(graph, self.store, f"{self.group}/proj.weight")
+        b = _leaf(graph, self.store, f"{self.group}/proj.bias")
         return ad.add(ad.conv2d(h, w), b)
 
     def predict(self, logits: Tensor) -> Tensor:
@@ -300,29 +298,25 @@ class SegmentationDecoder:
 
 
 def build_classification_decoder(task_id: int, feature_dim: int, num_classes: int,
-                                 nonlinearity: str, store: ParamStore, rng,
-                                 group: str | None = None) -> ClassificationDecoder:
-    if nonlinearity not in ("softmax", "sigmoid"):
-        raise ModelSpecError(f"nonlinearity must be softmax or sigmoid, got {nonlinearity!r}")
+                                 store: ParamStore, rng) -> ClassificationDecoder:
+    """Softmax head registered in group "decoder<task_id>"."""
     if feature_dim < 1:
         raise ModelSpecError(f"feature_dim must be positive, got {feature_dim}")
-    min_classes = 2 if nonlinearity == "softmax" else 1
-    if num_classes < min_classes:
-        raise ModelSpecError(
-            f"{nonlinearity} head needs at least {min_classes} classes, got {num_classes}")
-    group = group or f"decoder{task_id}"
+    if num_classes < 2:
+        raise ModelSpecError(f"softmax head needs at least 2 classes, got {num_classes}")
+    group = f"decoder{task_id}"
     w = _uniform_init(rng, feature_dim, num_classes, (feature_dim, num_classes))
     store.add(group, f"{group}/head.weight", w)
     store.add(group, f"{group}/head.bias", Tensor(np.zeros(num_classes)))
     return ClassificationDecoder(task_id=task_id, group=group, in_dim=feature_dim,
-                                 num_classes=num_classes, nonlinearity=nonlinearity,
-                                 store=store)
+                                 num_classes=num_classes, store=store)
 
 
 def build_segmentation_decoder(task_id: int, feature_map_shape, num_classes: int,
-                               upsample_factors, input_hw, store: ParamStore, rng,
-                               group: str | None = None) -> SegmentationDecoder:
-    """Per-pixel K-way head; K=1 becomes a sigmoid mask head.
+                               upsample_factors, input_hw, store: ParamStore,
+                               rng) -> SegmentationDecoder:
+    """Per-pixel K-way head in group "decoder<task_id>"; K=1 becomes a sigmoid
+    mask head.
 
     The upsample factors must restore the task's input resolution exactly.
     """
@@ -339,27 +333,27 @@ def build_segmentation_decoder(task_id: int, feature_map_shape, num_classes: int
         raise ModelSpecError(
             f"upsampled resolution {ho}x{wo} does not restore input "
             f"{input_hw[0]}x{input_hw[1]}")
-    group = group or f"decoder{task_id}"
+    group = f"decoder{task_id}"
     kw = _uniform_init(rng, c, num_classes, (num_classes, c, 1, 1))
     store.add(group, f"{group}/proj.weight", kw)
     store.add(group, f"{group}/proj.bias", Tensor(np.zeros((num_classes, 1, 1))))
-    nonlinearity = "sigmoid" if num_classes == 1 else "softmax"
     return SegmentationDecoder(task_id=task_id, group=group, map_shape=(c, h, w),
                                num_classes=num_classes, upsample_factors=factors,
-                               output_hw=(ho, wo), nonlinearity=nonlinearity, store=store)
+                               output_hw=(ho, wo), store=store)
 
 
-def forward_task(encoder: EncoderModel, decoder, x: Tensor, graph: Graph) -> Tensor:
+def forward_task(encoder: EncoderModel, decoder, x: Tensor, graph: Graph | None) -> Tensor:
     """Encode a batch, decode with one task head; returns the prediction.
 
     Classification heads consume the pooled/flattened feature vector,
     segmentation heads the pre-pool spatial map. Every intermediate op is
-    recorded on `graph`.
+    recorded on `graph`; with `graph=None` nothing is taped.
     """
     return decoder.predict(forward_task_logits(encoder, decoder, x, graph))
 
 
-def forward_task_logits(encoder: EncoderModel, decoder, x: Tensor, graph: Graph) -> Tensor:
+def forward_task_logits(encoder: EncoderModel, decoder, x: Tensor,
+                        graph: Graph | None) -> Tensor:
     """Same as forward_task but stops at the pre-nonlinearity logits."""
     if decoder.kind == "classification":
         return decoder.forward_logits(graph, encoder.forward_features(graph, x))

@@ -17,7 +17,7 @@ from scipy import ndimage
 
 from .autodiff import Tensor
 from .metrics import InstanceMask
-from .tensorio import BlockWriter, read_file
+from .tensorio import BlockWriter, FileFormatError, read_file
 
 DATASET_MAGIC = b"MTLD"
 DATASET_VERSION = 1
@@ -31,13 +31,6 @@ KIND_INSTANCE_SEG = "instance-segmentation"
 _KIND_CODES = {KIND_CLASSIFICATION: 0, KIND_BINARY_SEG: 1, KIND_INSTANCE_SEG: 2}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
-# kind -> (loss, metric); the only consistent combinations
-_KIND_TABLE = {
-    KIND_CLASSIFICATION: ("softmax-ce", "accuracy"),
-    KIND_BINARY_SEG: ("sigmoid-bce", "PQ"),
-    KIND_INSTANCE_SEG: ("pixel-softmax-ce", "PQ"),
-}
-
 TRAIN, EVAL = 0, 1
 
 
@@ -48,19 +41,10 @@ class TaskSpec:
     kind: str
     num_classes: int
     input_shape: tuple[int, ...]
-    loss: str = ""
-    metric: str = ""
 
     def __post_init__(self):
-        if self.kind not in _KIND_TABLE:
+        if self.kind not in _KIND_CODES:
             raise ValueError(f"unknown task kind {self.kind!r}")
-        loss, metric = _KIND_TABLE[self.kind]
-        object.__setattr__(self, "loss", self.loss or loss)
-        object.__setattr__(self, "metric", self.metric or metric)
-        if (self.loss, self.metric) != (loss, metric):
-            raise ValueError(
-                f"inconsistent task spec: kind {self.kind} requires loss {loss} "
-                f"and metric {metric}, got {self.loss}/{self.metric}")
         if self.num_classes < 1:
             raise ValueError("num_classes must be positive")
         object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
@@ -131,11 +115,9 @@ class TaskDataset:
         raise ValueError("classification tasks have no instance masks")
 
     def batch_targets(self, idx: np.ndarray):
-        if self.spec.kind == KIND_CLASSIFICATION:
-            return self.targets[idx]
-        if self.spec.kind == KIND_BINARY_SEG:
-            return self.targets[idx]
-        return np.stack([self.targets.class_map(i) for i in idx])
+        if self.spec.kind == KIND_INSTANCE_SEG:
+            return np.stack([self.targets.class_map(i) for i in idx])
+        return self.targets[idx]
 
     def equals(self, other: "TaskDataset") -> bool:
         if self.spec != other.spec or self.seed != other.seed:
@@ -359,7 +341,10 @@ def load_dataset(path) -> TaskDataset:
     r = read_file(path, DATASET_MAGIC, DATASET_VERSION)
     task_id = r.u16()
     name = r.string()
-    kind = _KIND_NAMES[r.u8()]
+    code = r.u8()
+    if code not in _KIND_NAMES:
+        raise FileFormatError(f"{path}: unknown task kind code {code}")
+    kind = _KIND_NAMES[code]
     k = r.u16()
     ndim = r.u8()
     input_shape = tuple(r.u32() for _ in range(ndim))
@@ -367,14 +352,11 @@ def load_dataset(path) -> TaskDataset:
     n = r.u32()
     split = r.tensor()
     inputs = r.tensor()
-    if kind == KIND_CLASSIFICATION:
-        targets = r.tensor()
-    elif kind == KIND_BINARY_SEG:
-        targets = r.tensor()
-    else:
+    if kind == KIND_INSTANCE_SEG:
         id_maps = r.tensor()
-        tables = [r.tensor() for _ in range(n)]
-        targets = InstanceTargets(id_maps, tables)
+        targets = InstanceTargets(id_maps, [r.tensor() for _ in range(n)])
+    else:
+        targets = r.tensor()
     r.finish()
     spec = TaskSpec(task_id, name, kind, k, input_shape)
     return TaskDataset(spec, inputs, targets, split, seed)

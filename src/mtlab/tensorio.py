@@ -8,6 +8,7 @@ of all preceding bytes.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 
@@ -96,8 +97,18 @@ class BlockWriter:
         return body + struct.pack("<I", zlib.crc32(body))
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+        """Write `<path>.tmp` beside `path`, then rename it over `path`, so a
+        failed write leaves any previous file whole and no temp file behind."""
+        data = self.to_bytes()
+        tmp = f"{path}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
 
 class BlockReader:

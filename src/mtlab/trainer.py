@@ -69,10 +69,8 @@ class TrainConfig:
     iterations: int
     batch_size: int = 8
     seed: int = 0
-    log_every: int = 1
     checkpoint_every: int = 0   # 0 disables periodic checkpoints
     diagnostics: str = "off"    # off | exact | sketch
-    sketch_dim: int = 4096
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -121,8 +119,7 @@ def build_decoders(tasks: list[TaskDataset], encoder: EncoderModel,
         spec = ds.spec
         if spec.kind == KIND_CLASSIFICATION:
             decoders.append(build_classification_decoder(
-                spec.task_id, encoder.feature_dim, spec.num_classes, "softmax",
-                store, rng))
+                spec.task_id, encoder.feature_dim, spec.num_classes, store, rng))
         else:
             # instance tasks predict K classes plus background per pixel
             k = spec.num_classes + 1 if spec.kind == KIND_INSTANCE_SEG else 1
@@ -143,17 +140,10 @@ def init_adam_states(store: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
 
 
 def _task_loss(decoder, logits: Tensor, y) -> Tensor:
-    if decoder.kind == "classification":
-        if decoder.nonlinearity == "softmax":
-            return ad.cross_entropy(logits, y)
-        targets = np.asarray(y, dtype=np.float64)
-        if targets.ndim == 1:
-            k = decoder.num_classes
-            targets = np.eye(k)[np.asarray(y, dtype=np.int64)] if k > 1 else targets[:, None]
-        return ad.binary_cross_entropy(logits, targets)
-    if decoder.nonlinearity == "softmax":
-        return ad.cross_entropy(logits, np.asarray(y, dtype=np.int64))
-    return ad.binary_cross_entropy(logits, np.asarray(y, dtype=np.float64)[:, None, :, :])
+    """Per-pixel BCE for a one-class mask head, softmax cross-entropy otherwise."""
+    if decoder.kind == "segmentation" and decoder.num_classes == 1:
+        return ad.binary_cross_entropy(logits, np.asarray(y, dtype=np.float64)[:, None, :, :])
+    return ad.cross_entropy(logits, np.asarray(y, dtype=np.int64))
 
 
 def flatten_group_grads(store: ParamStore, group: str,
@@ -215,7 +205,6 @@ def train(tasks: list[TaskDataset], encoder: EncoderModel, decoders: list,
         if config.diagnostics != "off":
             dim = store.total_size(encoder.group)
             log.trace = GradTrace(num_tasks=k, dim=dim, mode=config.diagnostics,
-                                  sketch_dim=config.sketch_dim,
                                   sketch_seed=config.seed)
 
     for t in range(start_t + 1, config.iterations + 1):

@@ -116,6 +116,43 @@ def test_train_log_row_count_and_determinism(tmp_path):
     assert (out / "checkpoint_final.mtlc").read_bytes() == first_ck
 
 
+def test_train_with_out_override_writes_config_used(tmp_path):
+    cfg, _ = _small_config(tmp_path, iterations=3)
+    out = tmp_path / "elsewhere"
+    assert main(["generate", "--config", str(cfg), "--out", str(out),
+                 "--no-timestamp"]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(out),
+                 "--no-timestamp"]) == 0
+    used = json.loads((out / "config_used.json").read_text())
+    assert used["out_dir"] == str(out)
+
+
+@pytest.mark.parametrize("manifest", [
+    '{"seed": 5, "tasks": [',
+    '{"seed": 5}',
+    '{"seed": 5, "tasks": [{"task_id": 0}]}',
+], ids=["not-json", "no-tasks", "no-path"])
+def test_malformed_manifest_is_data_error(tmp_path, capsys, manifest):
+    cfg, out = _small_config(tmp_path)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    (out / "data" / "manifest.json").write_text(manifest)
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 3
+    assert "manifest.json" in capsys.readouterr().err
+
+
+def test_unknown_dataset_kind_code_is_data_error(tmp_path, capsys):
+    cfg, out = _small_config(tmp_path)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    entry = json.loads((out / "data" / "manifest.json").read_text())["tasks"][0]
+    path = out / "data" / entry["path"]
+    raw = bytearray(path.read_bytes())
+    # magic (4), version (2), task id (2), name (2 + len) -> task kind code
+    raw[6 + 2 + 2 + len(entry["name"].encode())] = 7
+    path.write_bytes(bytes(raw))
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 3
+    assert entry["path"] in capsys.readouterr().err
+
+
 def test_train_zero_iterations_checkpoint_equals_init(tmp_path):
     from mtlab.cli import _build_models, _load_manifest_tasks
     from mtlab.config import load_config

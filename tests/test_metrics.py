@@ -273,6 +273,20 @@ def test_rolling_mean_long_window_is_cumulative_mean():
     np.testing.assert_allclose(rolling_mean(s, 100), cum, atol=1e-12)
 
 
+def _rolling_mean_loop(series, window):
+    """The original O(n*w) loop, kept as the byte-level reference."""
+    series = np.asarray(series, dtype=np.float64)
+    return np.array([series[max(0, i - window + 1):i + 1].mean()
+                     for i in range(len(series))])
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 10, 11, 3000, 5000])
+def test_rolling_mean_bytes_match_reference_loop(n):
+    s = np.random.default_rng(n).lognormal(0.0, 1.0, n)
+    for w in (1, 2, 3, 7, 8, 9, 10, 16, 17, 33, 100):
+        assert rolling_mean(s, w).tobytes() == _rolling_mean_loop(s, w).tobytes(), w
+
+
 # ---------------------------------------------------------------------------
 # components
 

@@ -54,7 +54,7 @@ def test_classification_decoder_rows_sum_to_one():
     store = ParamStore()
     enc = build_encoder([Conv(8, 3, padding=1), Activation("relu"), GlobalAvgPool()],
                         (3, 8, 8), store, _rng())
-    dec = build_classification_decoder(0, enc.feature_dim, 3, "softmax", store, _rng())
+    dec = build_classification_decoder(0, enc.feature_dim, 3, store, _rng())
     x = Tensor(np.random.default_rng(1).uniform(-1, 1, (4, 3, 8, 8)))
     y = forward_task(enc, dec, x, Graph())
     np.testing.assert_allclose(y.data.sum(axis=1), np.ones(4), atol=1e-12)
@@ -63,20 +63,18 @@ def test_classification_decoder_rows_sum_to_one():
 def test_all_paper_style_arities_constructible():
     store = ParamStore()
     for i, k in enumerate([2, 9, 6, 3, 4, 3, 5]):
-        dec = build_classification_decoder(i, 8, k, "softmax", store, _rng())
+        dec = build_classification_decoder(i, 8, k, store, _rng())
         assert dec.num_classes == k
 
 
 def test_zero_feature_dim_rejected():
     with pytest.raises(ModelSpecError):
-        build_classification_decoder(0, 0, 3, "softmax", ParamStore(), _rng())
+        build_classification_decoder(0, 0, 3, ParamStore(), _rng())
 
 
 def test_softmax_needs_two_classes():
     with pytest.raises(ModelSpecError):
-        build_classification_decoder(0, 8, 1, "softmax", ParamStore(), _rng())
-    dec = build_classification_decoder(0, 8, 1, "sigmoid", ParamStore(), _rng())
-    assert dec.nonlinearity == "sigmoid"
+        build_classification_decoder(0, 8, 1, ParamStore(), _rng())
 
 
 def test_segmentation_decoder_restores_resolution():
@@ -107,7 +105,7 @@ def test_resolution_mismatch_rejected():
 def test_zero_weight_softmax_head_is_uniform():
     store = ParamStore()
     enc = build_encoder([], (4,), store, _rng())
-    dec = build_classification_decoder(0, 4, 2, "softmax", store, _rng())
+    dec = build_classification_decoder(0, 4, 2, store, _rng())
     store.set(f"{dec.group}/head.weight", Tensor(np.zeros((4, 2))))
     y = forward_task(enc, dec, Tensor([[1.0, -2.0, 0.5, 3.0]]), Graph())
     np.testing.assert_array_equal(y.data, [[0.5, 0.5]])
@@ -117,7 +115,7 @@ def test_forward_determinism():
     store = ParamStore()
     enc = build_encoder([Conv(6, 3, padding=1), Activation("relu"), GlobalAvgPool()],
                         (3, 8, 8), store, _rng())
-    dec = build_classification_decoder(0, 6, 3, "softmax", store, _rng())
+    dec = build_classification_decoder(0, 6, 3, store, _rng())
     x = Tensor(np.random.default_rng(4).uniform(-1, 1, (2, 3, 8, 8)))
     a = forward_task(enc, dec, x, Graph())
     b = forward_task(enc, dec, x, Graph())
@@ -129,7 +127,7 @@ def test_classification_head_rejects_wrong_feature_dim():
     # encoder without pooling delivers a flattened 8*16*16 vector, but the
     # head was sized for the pooled 8-dim feature
     enc = build_encoder([Conv(8, 3, padding=1)], (3, 16, 16), store, _rng())
-    dec = build_classification_decoder(0, 8, 3, "softmax", store, _rng())
+    dec = build_classification_decoder(0, 8, 3, store, _rng())
     x = Tensor(np.zeros((1, 3, 16, 16)))
     with pytest.raises(ModelSpecError, match="features"):
         forward_task(enc, dec, x, Graph())
@@ -138,8 +136,8 @@ def test_classification_head_rejects_wrong_feature_dim():
 def test_parameter_groups_disjoint():
     store = ParamStore()
     enc = build_encoder([Conv(4, 3)], (3, 8, 8), store, _rng())
-    build_classification_decoder(0, 4, 2, "softmax", store, _rng())
-    build_classification_decoder(1, 4, 3, "softmax", store, _rng())
+    build_classification_decoder(0, 4, 2, store, _rng())
+    build_classification_decoder(1, 4, 3, store, _rng())
     seen = {}
     for group in store.group_names():
         for pid in store.sorted_ids(group):
@@ -159,8 +157,8 @@ def test_shared_encoder_uses_identical_tensors_across_tasks():
     store = ParamStore()
     enc = build_encoder([Conv(4, 3, padding=1), Activation("relu"), GlobalAvgPool()],
                         (3, 8, 8), store, _rng())
-    d0 = build_classification_decoder(0, 4, 2, "softmax", store, _rng())
-    d1 = build_classification_decoder(1, 4, 3, "softmax", store, _rng())
+    d0 = build_classification_decoder(0, 4, 2, store, _rng())
+    d1 = build_classification_decoder(1, 4, 3, store, _rng())
     x = Tensor(np.zeros((1, 3, 8, 8)))
 
     seen = []

@@ -301,6 +301,27 @@ def test_truncated_checkpoint_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    from mtlab import tensorio
+
+    tasks = _suite(seed=65)
+    store, enc, decs, states = _models(tasks, seed=66)
+    path = tmp_path / "checkpoint_latest.mtlc"
+    save_checkpoint(path, store, states, seed=65, t=10)
+    before = path.read_bytes()
+
+    def open_then_fill_disk(file, mode):
+        with open(file, mode) as fh:
+            fh.write(before[:len(before) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(tensorio, "open", open_then_fill_disk, raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(path, store, states, seed=65, t=20)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
 def test_checkpoint_group_mismatch_rejected(tmp_path):
     tasks = _suite(seed=70)
     store, enc, decs, states = _models(tasks, seed=71)
