@@ -210,14 +210,13 @@ def matmul(a, b) -> Tensor:
     return _record("matmul", (a, b), ad @ bd, backward_fn)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int):
-    B, C, Hp, Wp = xp.shape
-    ho = (Hp - kh) // stride + 1
-    wo = (Wp - kw) // stride + 1
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Channel-major columns (B, C*kh*kw, ho*wo) of a padded NCHW batch."""
+    B, C = xp.shape[:2]
     s0, s1, s2, s3 = xp.strides
     patches = np.lib.stride_tricks.as_strided(
-        xp, (B, ho, wo, C, kh, kw), (s0, s2 * stride, s3 * stride, s1, s2, s3))
-    return np.ascontiguousarray(patches).reshape(B * ho * wo, C * kh * kw), ho, wo
+        xp, (B, C, kh, kw, ho, wo), (s0, s1, s2, s3, s2 * stride, s3 * stride))
+    return np.ascontiguousarray(patches).reshape(B, C * kh * kw, ho * wo)
 
 
 def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
@@ -225,6 +224,9 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
 
     `x` is (C,H,W) or (B,C,H,W); `kernels` is (F,C,kh,kw). Output spatial
     extent is floor((H + 2*padding - kh)/stride) + 1 and must be positive.
+    Computed as one GEMM per image, (F, C*kh*kw) @ (C*kh*kw, ho*wo), written
+    straight into the NCHW output; a 1x1 stride-1 unpadded conv uses the
+    input itself as its columns.
     """
     x, kernels = _as_tensor(x), _as_tensor(kernels)
     if stride < 1:
@@ -252,35 +254,44 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
     if ho <= 0 or wo <= 0:
         raise ShapeMismatchError(f"conv2d: degenerate output extent {ho}x{wo}")
 
-    if padding:
-        xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
-        xp[:, :, padding:padding + H, padding:padding + W] = xd
+    pointwise = kh == kw == 1 and stride == 1 and not padding
+    if pointwise:
+        cols = xd.reshape(B, C, H * W)
     else:
-        xp = xd
-    cols, _, _ = _im2col(xp, kh, kw, stride)
+        if padding:
+            xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
+            xp[:, :, padding:padding + H, padding:padding + W] = xd
+        else:
+            xp = xd
+        cols = _im2col(xp, kh, kw, stride, ho, wo)
     wmat = kernels.data.reshape(F, C * kh * kw)
-    out = (cols @ wmat.T).reshape(B, ho, wo, F).transpose(0, 3, 1, 2)
+    out = np.empty((B, F, ho, wo) if batched else (F, ho, wo))
+    np.matmul(wmat, cols, out=out.reshape(B, F, ho * wo))
 
     hp, wp = H + 2 * padding, W + 2 * padding
 
     def backward_fn(g, needs):
-        gmat = g.transpose(0, 2, 3, 1).reshape(B * ho * wo, F) if batched else \
-            g[None].transpose(0, 2, 3, 1).reshape(ho * wo, F)
-        dk = (gmat.T @ cols).reshape(F, C, kh, kw) if needs[1] else None
+        g3 = g.reshape(B, F, ho * wo)
+        dk = np.matmul(g3, cols.transpose(0, 2, 1)).sum(0).reshape(F, C, kh, kw) \
+            if needs[1] else None
         dx = None
         if needs[0]:
-            dcols = (gmat @ wmat).reshape(B, ho, wo, C, kh, kw)
-            dxp = np.zeros((B, C, hp, wp))
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += \
-                        dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            dx = dxp[:, :, padding:padding + H, padding:padding + W]
+            dcols = np.matmul(wmat.T, g3)
+            if pointwise:
+                dx = dcols.reshape(B, C, H, W)
+            else:
+                dc = dcols.reshape(B, C, kh, kw, ho, wo)
+                dxp = np.zeros((B, C, hp, wp))
+                for i in range(kh):
+                    for j in range(kw):
+                        dxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += \
+                            dc[:, :, i, j]
+                dx = dxp[:, :, padding:padding + H, padding:padding + W]
             if not batched:
                 dx = dx[0]
         return dx, dk
 
-    return _record("conv2d", (x, kernels), out if batched else out[0], backward_fn)
+    return _record("conv2d", (x, kernels), out, backward_fn)
 
 
 def relu(x) -> Tensor:
@@ -343,7 +354,7 @@ def global_avg_pool(x) -> Tensor:
     def backward_fn(g, needs):
         if not needs[0]:
             return (None,)
-        return (np.broadcast_to(g[..., None, None] / (h * w), x.shape).copy(),)
+        return (np.broadcast_to(g[..., None, None] / (h * w), x.shape),)
 
     return _record("global_avg_pool", (x,), out, backward_fn)
 
@@ -375,7 +386,7 @@ def reshape(x, shape) -> Tensor:
     old = x.shape
 
     def backward_fn(g, needs):
-        return (g.reshape(old).copy() if needs[0] else None,)
+        return (g.reshape(old) if needs[0] else None,)
 
     return _record("reshape", (x,), x.data.reshape(shape), backward_fn)
 
@@ -495,7 +506,8 @@ def backward(loss: Tensor) -> dict[str, Tensor]:
         for iid, ig in zip(node.inputs, in_grads):
             if ig is None:
                 continue
-            grads[iid] = np.array(ig) if grads[iid] is None else grads[iid] + ig
+            # backward_fns write only arrays they allocate (dxp, p), never g: ig is kept uncopied
+            grads[iid] = ig if grads[iid] is None else grads[iid] + ig
         grads[nid] = None  # free as we go
 
     out: dict[str, Tensor] = {}

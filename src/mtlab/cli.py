@@ -125,21 +125,32 @@ def _sampler(cfg: ExperimentConfig, k: int) -> SamplerConfig:
 # ---------------------------------------------------------------------------
 # evaluation
 
+EVAL_CHUNK = 256  # eval images per forward pass; bounds eval memory, not scores
+
+
 def evaluate_task(encoder, decoder, ds: TaskDataset) -> tuple[str, float]:
-    """Eval-split metric for one task, untaped: accuracy or mean panoptic quality."""
+    """Eval-split metric for one task, untaped: accuracy or mean panoptic quality.
+
+    The split goes through the model EVAL_CHUNK images at a time; each image's
+    prediction is the same as in one whole-split batch.
+    """
     idx = ds.indices("eval")
-    x = Tensor(ds.inputs[idx])
-    pred = forward_task(encoder, decoder, x, None).data
+    labels, pqs = [], []
+    for start in range(0, len(idx), EVAL_CHUNK):
+        chunk = idx[start:start + EVAL_CHUNK]
+        pred = forward_task(encoder, decoder, Tensor(ds.inputs[chunk]), None).data
+        if ds.spec.kind == KIND_CLASSIFICATION:
+            labels.append(pred.argmax(axis=1))
+            continue
+        for row, i in enumerate(chunk):
+            if ds.spec.kind == KIND_BINARY_SEG:
+                inst = connected_components(pred[row, 0] >= 0.5)
+                pqs.append(panoptic_quality(inst, ds.gt_mask(i)).pq)
+            else:
+                inst = instances_from_class_map(pred[row].argmax(axis=0))
+                pqs.append(panoptic_quality(inst, ds.gt_mask(i), class_aware=True).pq)
     if ds.spec.kind == KIND_CLASSIFICATION:
-        return "accuracy", accuracy(pred.argmax(axis=1), ds.targets[idx])
-    pqs = []
-    for row, i in enumerate(idx):
-        if ds.spec.kind == KIND_BINARY_SEG:
-            inst = connected_components(pred[row, 0] >= 0.5)
-            pqs.append(panoptic_quality(inst, ds.gt_mask(i)).pq)
-        else:
-            inst = instances_from_class_map(pred[row].argmax(axis=0))
-            pqs.append(panoptic_quality(inst, ds.gt_mask(i), class_aware=True).pq)
+        return "accuracy", accuracy(np.concatenate(labels), ds.targets[idx])
     return "PQ", float(np.mean(pqs))
 
 
@@ -186,6 +197,9 @@ def cmd_train(cfg: ExperimentConfig, timestamp: bool, resume: bool) -> int:
         if ck.seed != cfg.seed:
             raise DataError(f"checkpoint seed {ck.seed} does not match config "
                             f"seed {cfg.seed}")
+        if ck.t > cfg.iterations:
+            raise ConfigError(f"cannot resume: {latest} is at iteration {ck.t}, past "
+                              f"the configured iterations {cfg.iterations}")
         apply_checkpoint(ck, store, states)
         start_t = ck.t
 
@@ -216,8 +230,9 @@ def cmd_eval(cfg: ExperimentConfig, timestamp: bool, checkpoint: Path | None) ->
     ck_path = checkpoint or cfg.out_dir / "checkpoint_final.mtlc"
     if not ck_path.exists():
         raise DataError(f"checkpoint {ck_path} does not exist")
+    ck = load_checkpoint(ck_path)
     try:
-        apply_checkpoint(load_checkpoint(ck_path), store, states)
+        apply_checkpoint(ck, store, states)
     except ValueError as exc:
         raise DataError(f"checkpoint does not match the configured models: {exc}")
 

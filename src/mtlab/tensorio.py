@@ -21,7 +21,7 @@ _NP_DTYPES = {DTYPE_F64: np.dtype("<f8"), DTYPE_I32: np.dtype("<i4")}
 
 
 class FileFormatError(ValueError):
-    """Base error for malformed container files."""
+    """Base error for malformed container files; messages start with the file name."""
 
 
 class BadMagicError(FileFormatError):
@@ -35,10 +35,10 @@ class VersionMismatchError(FileFormatError):
 class TruncatedFileError(FileFormatError):
     """File ends (or a length field points) past the available bytes."""
 
-    def __init__(self, offset: int, wanted: int, available: int):
+    def __init__(self, source: str, offset: int, wanted: int, available: int):
         self.offset = offset
         super().__init__(
-            f"truncated/corrupt file: need {wanted} bytes at offset {offset}, "
+            f"{source}: truncated/corrupt file: need {wanted} bytes at offset {offset}, "
             f"only {available} available"
         )
 
@@ -116,25 +116,28 @@ class BlockReader:
 
     Field reads running past the end raise TruncatedFileError with the
     offending offset, so a cut-off file is rejected before any state is built.
+    Every error message starts with `source`, the name of the file read.
     """
 
-    def __init__(self, data: bytes, magic: bytes, version: int):
+    def __init__(self, data: bytes, magic: bytes, version: int, source: str):
+        self.source = source
         if len(data) < 4:
-            raise TruncatedFileError(0, 4, len(data))
+            raise TruncatedFileError(source, 0, 4, len(data))
         if data[:4] != magic:
-            raise BadMagicError(f"bad magic {data[:4]!r}, expected {magic!r}")
+            raise BadMagicError(f"{source}: bad magic {data[:4]!r}, expected {magic!r}")
         if len(data) < 10:
-            raise TruncatedFileError(4, 6, len(data) - 4)
+            raise TruncatedFileError(source, 4, 6, len(data) - 4)
         (got_version,) = struct.unpack_from("<H", data, 4)
         if got_version != version:
-            raise VersionMismatchError(f"format version {got_version}, expected {version}")
+            raise VersionMismatchError(
+                f"{source}: format version {got_version}, expected {version}")
         self._data = data
         self._pos = 6
         self._end = len(data) - 4  # CRC trailer excluded from field area
 
     def _take(self, n: int) -> bytes:
         if self._pos + n > self._end:
-            raise TruncatedFileError(self._pos, n, self._end - self._pos)
+            raise TruncatedFileError(self.source, self._pos, n, self._end - self._pos)
         out = self._data[self._pos : self._pos + n]
         self._pos += n
         return out
@@ -156,12 +159,18 @@ class BlockReader:
 
     def string(self) -> str:
         n = self.u16()
-        return self._take(n).decode("utf-8")
+        raw = self._take(n)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FileFormatError(f"{self.source}: string at offset {self._pos - n} "
+                                  f"is not UTF-8") from None
 
     def tensor(self) -> np.ndarray:
         code = self.u8()
         if code not in _NP_DTYPES:
-            raise FileFormatError(f"unknown tensor dtype code {code} at offset {self._pos - 1}")
+            raise FileFormatError(
+                f"{self.source}: unknown tensor dtype code {code} at offset {self._pos - 1}")
         ndim = self.u8()
         shape = tuple(self.u32() for _ in range(ndim))
         count = 1
@@ -175,15 +184,16 @@ class BlockReader:
         """Require all field bytes consumed and the CRC trailer to match."""
         if self._pos != self._end:
             raise FileFormatError(
-                f"trailing bytes: parsing stopped at offset {self._pos}, "
+                f"{self.source}: trailing bytes: parsing stopped at offset {self._pos}, "
                 f"field area ends at {self._end}"
             )
         (stored,) = struct.unpack_from("<I", self._data, self._end)
         actual = zlib.crc32(self._data[: self._end])
         if stored != actual:
-            raise ChecksumError(f"CRC32 mismatch: stored {stored:#010x}, computed {actual:#010x}")
+            raise ChecksumError(f"{self.source}: CRC32 mismatch: stored {stored:#010x}, "
+                                f"computed {actual:#010x}")
 
 
 def read_file(path, magic: bytes, version: int) -> BlockReader:
     with open(path, "rb") as fh:
-        return BlockReader(fh.read(), magic, version)
+        return BlockReader(fh.read(), magic, version, str(path))

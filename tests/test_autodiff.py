@@ -270,6 +270,38 @@ def case_conv2d_kernels(rng):
 
 
 @grad_case
+def case_conv2d_input_batched_strided(rng):
+    k = rng.uniform(-1, 1, (2, 3, 3, 3))
+    c = rng.uniform(-1, 1, (2, 2, 3, 3))
+    _check_op_grad(lambda p: _weighted(conv2d(p, Tensor(k), stride=2, padding=1), c),
+                   rng.uniform(-1, 1, (2, 3, 5, 5)))
+
+
+@grad_case
+def case_conv2d_kernels_unbatched(rng):
+    x = rng.uniform(-1, 1, (3, 5, 5))
+    c = rng.uniform(-1, 1, (2, 3, 3))
+    _check_op_grad(lambda p: _weighted(conv2d(Tensor(x), p, stride=2, padding=1), c),
+                   rng.uniform(-1, 1, (2, 3, 3, 3)))
+
+
+@grad_case
+def case_conv2d_pointwise_input(rng):
+    k = rng.uniform(-1, 1, (4, 3, 1, 1))
+    c = rng.uniform(-1, 1, (2, 4, 3, 5))
+    _check_op_grad(lambda p: _weighted(conv2d(p, Tensor(k)), c),
+                   rng.uniform(-1, 1, (2, 3, 3, 5)))
+
+
+@grad_case
+def case_conv2d_pointwise_kernels(rng):
+    x = rng.uniform(-1, 1, (2, 3, 3, 5))
+    c = rng.uniform(-1, 1, (2, 4, 3, 5))
+    _check_op_grad(lambda p: _weighted(conv2d(Tensor(x), p), c),
+                   rng.uniform(-1, 1, (4, 3, 1, 1)))
+
+
+@grad_case
 def case_relu(rng):
     c = rng.uniform(-1, 1, (3, 4))
     _check_op_grad(lambda p: _weighted(relu(p), c), rng.uniform(-1, 1, (3, 4)))
@@ -422,3 +454,16 @@ def test_shared_parameter_grads_accumulate():
     p2 = g.param("p", Tensor([2.0]))  # same parameter leafed twice
     grads = backward(tensor_sum(mul(p1, p2)))
     np.testing.assert_array_equal(grads["p"].data, [4.0])
+
+
+def test_add_of_two_parameters_gives_both_read_only_gradients():
+    rng = np.random.default_rng(16)
+    a0, b0, c = (rng.uniform(-1, 1, (3, 4)) for _ in range(3))
+    g = Graph()
+    a, b = g.param("a", Tensor(a0)), g.param("b", Tensor(b0))
+    grads = backward(_weighted(add(a, b), c))
+    for pid in ("a", "b"):
+        np.testing.assert_array_equal(grads[pid].data, c)
+        assert not grads[pid].data.flags.writeable
+        with pytest.raises(ValueError):
+            grads[pid].data[0, 0] = 1.0

@@ -4,9 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from mtlab import cli
+from mtlab.autodiff import Tensor
 from mtlab.cli import main
-from mtlab.tasks import gen_segmentation_task, load_dataset, save_mask
-from mtlab.trainer import load_checkpoint
+from mtlab.config import parse_encoder_spec
+from mtlab.model import ParamStore, build_encoder, forward_task
+from mtlab.tasks import (KIND_BINARY_SEG, KIND_INSTANCE_SEG, gen_classification_task,
+                         gen_segmentation_task, load_dataset, save_mask)
+from mtlab.trainer import build_decoders, load_checkpoint
 
 
 def _small_config(tmp_path, **overrides):
@@ -151,6 +156,87 @@ def test_unknown_dataset_kind_code_is_data_error(tmp_path, capsys):
     path.write_bytes(bytes(raw))
     assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 3
     assert entry["path"] in capsys.readouterr().err
+
+
+def test_truncated_dataset_file_is_named_under_train(tmp_path, capsys):
+    cfg, out = _small_config(tmp_path)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    entry = json.loads((out / "data" / "manifest.json").read_text())["tasks"][1]
+    path = out / "data" / entry["path"]
+    path.write_bytes(path.read_bytes()[:300])
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 3
+    err = capsys.readouterr().err
+    assert entry["path"] in err and "truncated" in err
+
+
+def test_corrupt_string_in_dataset_file_is_named_data_error(tmp_path, capsys):
+    cfg, out = _small_config(tmp_path)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    entry = json.loads((out / "data" / "manifest.json").read_text())["tasks"][0]
+    path = out / "data" / entry["path"]
+    raw = bytearray(path.read_bytes())
+    raw[6 + 2 + 2] = 0xFF  # magic, version, task id, name length -> first name byte
+    path.write_bytes(bytes(raw))
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 3
+    assert entry["path"] in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_is_named_under_eval(tmp_path, capsys):
+    cfg, out = _small_config(tmp_path, iterations=3)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    path = out / "checkpoint_final.mtlc"
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) // 2])
+    assert main(["eval", "--config", str(cfg), "--no-timestamp"]) == 3
+    err = capsys.readouterr().err
+    assert "checkpoint_final.mtlc" in err and "truncated" in err
+
+
+def test_resume_from_checkpoint_past_iterations_is_config_error(tmp_path, capsys):
+    cfg, out = _small_config(tmp_path, iterations=40, checkpoint_every=20)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    final = (out / "checkpoint_final.mtlc").read_bytes()
+
+    shorter = json.loads(cfg.read_text())
+    shorter["iterations"] = 20
+    cfg.write_text(json.dumps(shorter))
+    assert main(["train", "--config", str(cfg), "--no-timestamp", "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint_latest.mtlc" in err and "40" in err and "20" in err
+    assert (out / "checkpoint_final.mtlc").read_bytes() == final
+
+
+ONE_CONV = [{"type": "conv", "filters": 6, "kernel": 3, "padding": 1},
+            {"type": "relu"}, {"type": "gap"}]
+TWO_CONV = ONE_CONV[:2] + [{"type": "conv", "filters": 5, "kernel": 3, "stride": 2,
+                            "padding": 1}, {"type": "relu"}, {"type": "gap"}]
+
+
+@pytest.mark.parametrize("encoder_spec", [ONE_CONV, TWO_CONV], ids=["one-conv", "two-conv"])
+def test_chunked_eval_matches_whole_split_forward(monkeypatch, encoder_spec):
+    n_eval = cli.EVAL_CHUNK + 44
+    tasks = [
+        gen_classification_task(4, (3, 16, 16), 8, n_eval, 0.3, seed=70, task_id=0),
+        gen_segmentation_task(KIND_INSTANCE_SEG, 16, 3, 3, 8, n_eval, seed=71, task_id=1),
+        gen_segmentation_task(KIND_BINARY_SEG, 16, 3, 1, 8, n_eval, seed=72, task_id=2),
+    ]
+    store, rng = ParamStore(), np.random.default_rng(73)
+    encoder = build_encoder(parse_encoder_spec(encoder_spec), (3, 16, 16), store, rng)
+    decoders = build_decoders(tasks, encoder, store, rng)
+    for ds, dec in zip(tasks, decoders):
+        idx = ds.indices("eval")
+        whole = forward_task(encoder, dec, Tensor(ds.inputs[idx]), None).data
+        chunks = [forward_task(encoder, dec, Tensor(ds.inputs[idx[s:s + cli.EVAL_CHUNK]]),
+                               None).data for s in range(0, n_eval, cli.EVAL_CHUNK)]
+        assert len(chunks) == 2
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+        chunked = cli.evaluate_task(encoder, dec, ds)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "EVAL_CHUNK", n_eval)
+            assert cli.evaluate_task(encoder, dec, ds) == chunked
 
 
 def test_train_zero_iterations_checkpoint_equals_init(tmp_path):
