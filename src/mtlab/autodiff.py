@@ -225,8 +225,8 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
     `x` is (C,H,W) or (B,C,H,W); `kernels` is (F,C,kh,kw). Output spatial
     extent is floor((H + 2*padding - kh)/stride) + 1 and must be positive.
     Computed as one GEMM per image, (F, C*kh*kw) @ (C*kh*kw, ho*wo), written
-    straight into the NCHW output; a 1x1 stride-1 unpadded conv uses the
-    input itself as its columns.
+    straight into the NCHW output. For a 1x1 stride-1 unpadded conv the
+    columns are a view of the input, with no copy.
     """
     x, kernels = _as_tensor(x), _as_tensor(kernels)
     if stride < 1:
@@ -254,16 +254,12 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
     if ho <= 0 or wo <= 0:
         raise ShapeMismatchError(f"conv2d: degenerate output extent {ho}x{wo}")
 
-    pointwise = kh == kw == 1 and stride == 1 and not padding
-    if pointwise:
-        cols = xd.reshape(B, C, H * W)
+    if padding:
+        xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
+        xp[:, :, padding:padding + H, padding:padding + W] = xd
     else:
-        if padding:
-            xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
-            xp[:, :, padding:padding + H, padding:padding + W] = xd
-        else:
-            xp = xd
-        cols = _im2col(xp, kh, kw, stride, ho, wo)
+        xp = xd
+    cols = _im2col(xp, kh, kw, stride, ho, wo)
     wmat = kernels.data.reshape(F, C * kh * kw)
     out = np.empty((B, F, ho, wo) if batched else (F, ho, wo))
     np.matmul(wmat, cols, out=out.reshape(B, F, ho * wo))
@@ -276,17 +272,13 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
             if needs[1] else None
         dx = None
         if needs[0]:
-            dcols = np.matmul(wmat.T, g3)
-            if pointwise:
-                dx = dcols.reshape(B, C, H, W)
-            else:
-                dc = dcols.reshape(B, C, kh, kw, ho, wo)
-                dxp = np.zeros((B, C, hp, wp))
-                for i in range(kh):
-                    for j in range(kw):
-                        dxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += \
-                            dc[:, :, i, j]
-                dx = dxp[:, :, padding:padding + H, padding:padding + W]
+            dc = np.matmul(wmat.T, g3).reshape(B, C, kh, kw, ho, wo)
+            dxp = np.zeros((B, C, hp, wp))
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += \
+                        dc[:, :, i, j]
+            dx = dxp[:, :, padding:padding + H, padding:padding + W]
             if not batched:
                 dx = dx[0]
         return dx, dk

@@ -135,6 +135,8 @@ def evaluate_task(encoder, decoder, ds: TaskDataset) -> tuple[str, float]:
     prediction is the same as in one whole-split batch.
     """
     idx = ds.indices("eval")
+    if not len(idx):
+        raise DataError(f"task {ds.spec.task_id} ({ds.spec.name}) has no eval examples")
     labels, pqs = [], []
     for start in range(0, len(idx), EVAL_CHUNK):
         chunk = idx[start:start + EVAL_CHUNK]

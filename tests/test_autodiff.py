@@ -47,6 +47,15 @@ def test_conv2d_pointwise_scaling():
     np.testing.assert_array_equal(out.data, np.full((1, 3, 3), 2.0))
 
 
+def test_im2col_of_1x1_stride1_unpadded_conv_is_a_view_of_the_input():
+    from mtlab.autodiff import _im2col
+
+    x = np.random.default_rng(0).uniform(-1, 1, (2, 3, 4, 5))
+    cols = _im2col(x, 1, 1, 1, 4, 5)
+    assert np.shares_memory(cols, x)
+    np.testing.assert_array_equal(cols, x.reshape(2, 3, 20))
+
+
 def test_conv2d_full_kernel_sum():
     x = Tensor(np.arange(1.0, 10.0).reshape(1, 3, 3))
     k = Tensor(np.ones((1, 1, 3, 3)))

@@ -9,8 +9,8 @@ from mtlab.autodiff import Tensor
 from mtlab.cli import main
 from mtlab.config import parse_encoder_spec
 from mtlab.model import ParamStore, build_encoder, forward_task
-from mtlab.tasks import (KIND_BINARY_SEG, KIND_INSTANCE_SEG, gen_classification_task,
-                         gen_segmentation_task, load_dataset, save_mask)
+from mtlab.tasks import (KIND_BINARY_SEG, KIND_INSTANCE_SEG, TRAIN, gen_classification_task,
+                         gen_segmentation_task, load_dataset, save_dataset, save_mask)
 from mtlab.trainer import build_decoders, load_checkpoint
 
 
@@ -206,6 +206,21 @@ def test_resume_from_checkpoint_past_iterations_is_config_error(tmp_path, capsys
     err = capsys.readouterr().err
     assert "checkpoint_latest.mtlc" in err and "40" in err and "20" in err
     assert (out / "checkpoint_final.mtlc").read_bytes() == final
+
+
+@pytest.mark.parametrize("task", [0, 1], ids=["classification", "binary-seg"])
+def test_eval_of_task_without_eval_examples_is_data_error(tmp_path, capsys, task):
+    cfg, out = _small_config(tmp_path, iterations=3)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    entry = json.loads((out / "data" / "manifest.json").read_text())["tasks"][task]
+    path = out / "data" / entry["path"]
+    ds = load_dataset(path)
+    ds.split[:] = TRAIN
+    save_dataset(path, ds)
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert main(["eval", "--config", str(cfg), "--no-timestamp"]) == 3
+    assert "no eval examples" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
 
 
 ONE_CONV = [{"type": "conv", "filters": 6, "kernel": 3, "padding": 1},
