@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .autodiff import Tensor
-from .metrics import InstanceMask
+from .metrics import InstanceMask, InstanceStack
 from .tensorio import BlockWriter, FileFormatError, read_file
 
 DATASET_MAGIC = b"MTLD"
@@ -61,10 +61,10 @@ class InstanceTargets:
         lut = np.concatenate([[0], self.class_tables[idx]]).astype(np.int32)
         return lut[self.id_maps[idx]]
 
-    def mask(self, idx: int) -> InstanceMask:
-        table = self.class_tables[idx]
-        return InstanceMask(self.id_maps[idx],
-                            {i + 1: int(c) for i, c in enumerate(table)})
+    def stack(self, idx) -> InstanceStack:
+        tables = [self.class_tables[i] for i in idx]
+        return InstanceStack.from_tables(self.id_maps[idx], [len(t) for t in tables],
+                                         np.concatenate(tables))
 
 
 @dataclass
@@ -105,14 +105,18 @@ class TaskDataset:
             return self._eval_idx
         raise ValueError(f"unknown split {split!r}")
 
-    def gt_mask(self, idx: int) -> InstanceMask:
-        """Ground-truth instances for one example of a segmentation task."""
+    def gt_masks(self, idx: np.ndarray) -> InstanceStack:
+        """Ground-truth instances for a stack of examples of a segmentation task."""
         if self.spec.kind == KIND_INSTANCE_SEG:
-            return self.targets.mask(idx)
+            return self.targets.stack(idx)
         if self.spec.kind == KIND_BINARY_SEG:
             from .metrics import connected_components
             return connected_components(self.targets[idx])
         raise ValueError("classification tasks have no instance masks")
+
+    def gt_mask(self, idx: int) -> InstanceMask:
+        """Ground-truth instances for one example of a segmentation task."""
+        return self.gt_masks(np.array([idx])).image(0)
 
     def batch_targets(self, idx: np.ndarray):
         if self.spec.kind == KIND_INSTANCE_SEG:

@@ -231,7 +231,7 @@ TWO_CONV = ONE_CONV[:2] + [{"type": "conv", "filters": 5, "kernel": 3, "stride":
 
 @pytest.mark.parametrize("encoder_spec", [ONE_CONV, TWO_CONV], ids=["one-conv", "two-conv"])
 def test_chunked_eval_matches_whole_split_forward(monkeypatch, encoder_spec):
-    n_eval = cli.EVAL_CHUNK + 44
+    n_eval = cli.EVAL_CHUNK + 11
     tasks = [
         gen_classification_task(4, (3, 16, 16), 8, n_eval, 0.3, seed=70, task_id=0),
         gen_segmentation_task(KIND_INSTANCE_SEG, 16, 3, 3, 8, n_eval, seed=71, task_id=1),
@@ -400,3 +400,44 @@ def test_concentration_d100_band(tmp_path):
                  "--dims", "100", "--pairs", "20000", "--seed", "1"]) == 0
     (row,) = _rows(out / "concentration.csv")
     assert abs(float(row["std"]) - 0.1) <= 0.005
+
+
+def test_diagnose_skips_blank_lines_and_names_a_bad_train_log_row(tmp_path, capsys):
+    cfg, out = _small_config(tmp_path)
+    for cmd in ("generate", "train", "diagnose"):
+        assert main([cmd, "--config", str(cfg), "--no-timestamp"]) == 0
+    log = out / "train_log.csv"
+    smoothed = (out / "diagnostics" / "loss_smoothed.csv").read_bytes()
+    text = log.read_text()
+    log.write_text(text + "\n")
+    assert main(["diagnose", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert (out / "diagnostics" / "loss_smoothed.csv").read_bytes() == smoothed
+    lines = text.splitlines(keepends=True)
+    lines[5] = lines[5].replace(lines[5].split(",")[0], "5.5", 1)
+    log.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["diagnose", "--config", str(cfg), "--no-timestamp"]) == 3
+    err = capsys.readouterr().err
+    assert str(log) in err and "line 6" in err and "5.5" in err
+
+
+def test_eval_names_task_and_example_of_gt_id_without_class(tmp_path, capsys):
+    cfg, out = _small_config(tmp_path, iterations=0)
+    payload = json.loads(cfg.read_text())
+    payload["suite"]["tasks"][1] = {"kind": "instance-segmentation", "image_size": 16,
+                                    "max_instances": 2, "num_classes": 2,
+                                    "n_train": 8, "n_eval": 6, "name": "cells"}
+    cfg.write_text(json.dumps(payload))
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    entry = json.loads((out / "data" / "manifest.json").read_text())["tasks"][1]
+    path = out / "data" / entry["path"]
+    ds = load_dataset(path)
+    bad = int(ds.indices("eval")[3])
+    table = ds.targets.class_tables[bad]
+    ds.targets.id_maps[bad, 0, 0] = len(table) + 1      # an id past its class table
+    save_dataset(path, ds)
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert main(["eval", "--config", str(cfg), "--no-timestamp"]) == 3
+    err = capsys.readouterr().err
+    assert "task 1 (cells)" in err and f"eval example {bad}" in err
+    assert f"without class labels: [{len(table) + 1}]" in err

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from mtlab.metrics import (
     InstanceMask,
+    InstanceStack,
     MaskError,
     accuracy,
     connected_components,
@@ -316,3 +318,202 @@ def test_instances_from_class_map_assigns_classes():
     assert len(inst.instance_ids()) == 3
     # scoring the derived instances against themselves is perfect
     assert panoptic_quality(inst, inst, class_aware=True).pq == 1.0
+
+
+# ---------------------------------------------------------------------------
+# stacks: labeling and scoring a (B, H, W) stack equal doing it image by image
+
+def _class_map_reference(class_map):
+    """Per-image (class, scan)-order ids: the 2-D conversion, one class at a time."""
+    ids = np.zeros(class_map.shape, dtype=np.int32)
+    classes, next_id = {}, 1
+    for cls in sorted(int(c) for c in np.unique(class_map) if c != 0):
+        labeled, n = ndimage.label(class_map == cls)
+        ids[labeled > 0] = labeled[labeled > 0] + next_id - 1
+        classes.update({next_id + j: cls for j in range(n)})
+        next_id += n
+    return ids, classes
+
+
+def _labeling_stack():
+    """Five 6x6 class maps: a blob across the image 1/2 border, diagonal
+    neighbours, an empty image between non-empty ones, class 3 in one image."""
+    cm = np.zeros((5, 6, 6), dtype=np.int64)
+    cm[0, 0, 0] = cm[0, 1, 1] = 1          # diagonal neighbours: two instances
+    cm[0, 4:6, 2:4] = 2
+    cm[1, 4:6, 0:3] = 1                    # touches the last row of image 1 ...
+    cm[2, 0:2, 0:3] = 1                    # ... and the first row of image 2
+    cm[2, 3, 3] = 3
+    cm[2, 2, 4] = cm[2, 3, 5] = 2
+    # image 3 is empty
+    cm[4, :, 0] = 2
+    cm[4, 5, :] = 1
+    return cm
+
+
+def test_stacked_connected_components_equal_per_image_labeling():
+    masks = _labeling_stack() > 0
+    stack = connected_components(masks, cls=4)
+    assert stack.ids.shape == masks.shape
+    for b, mask in enumerate(masks):
+        ref, n = ndimage.label(mask)
+        np.testing.assert_array_equal(stack.ids[b], ref)
+        assert stack.image(b).classes == {i: 4 for i in range(1, n + 1)}
+        assert connected_components(mask, cls=4).classes == stack.image(b).classes
+    assert len(stack.image(1).instance_ids()) == 1 and len(stack.image(2).instance_ids()) == 4
+    assert stack.image(3).instance_ids() == []
+
+
+def test_stacked_instances_from_class_map_equal_per_image_conversion():
+    cm = _labeling_stack()
+    stack = instances_from_class_map(cm)
+    for b in range(len(cm)):
+        ids, classes = _class_map_reference(cm[b])
+        np.testing.assert_array_equal(stack.ids[b], ids)
+        assert stack.image(b).classes == classes
+        one = instances_from_class_map(cm[b])
+        np.testing.assert_array_equal(one.ids, ids)
+        assert one.classes == classes
+    assert sorted(stack.image(2).classes.values()) == [1, 2, 2, 3]
+    assert stack.image(3).classes == {}
+
+
+def test_stacked_labeling_of_random_maps_equals_per_image_labeling():
+    rng = np.random.default_rng(7)
+    cm = rng.integers(0, 4, size=(9, 10, 10)) * (rng.random((9, 10, 10)) < 0.6)
+    cm[3] = 0
+    cm[5][cm[5] == 2] = 0
+    stack = instances_from_class_map(cm)
+    binary = connected_components(cm > 0)
+    for b in range(len(cm)):
+        ids, classes = _class_map_reference(cm[b])
+        np.testing.assert_array_equal(stack.ids[b], ids)
+        assert stack.image(b).classes == classes
+        np.testing.assert_array_equal(binary.ids[b], ndimage.label(cm[b] > 0)[0])
+
+
+def _oracle_pq(pred: InstanceMask, gt: InstanceMask, class_aware: bool):
+    """PQ by brute force: pixel-set IoU of every (pred, gt) pair, per class."""
+    classes = sorted(set(gt.classes.values())) if class_aware else [None]
+    scores = []
+    for cls in classes:
+        p_ids = [i for i in pred.instance_ids() if cls is None or pred.classes[i] == cls]
+        g_ids = [i for i in gt.instance_ids() if cls is None or gt.classes[i] == cls]
+        ious = []
+        for p in p_ids:
+            for g in g_ids:
+                a, b = pred.ids == p, gt.ids == g
+                inter, union = int((a & b).sum()), int((a | b).sum())
+                if inter / union > 0.5:
+                    ious.append(inter / union)
+        tp, fp, fn = len(ious), len(p_ids) - len(ious), len(g_ids) - len(ious)
+        denom = tp + 0.5 * fp + 0.5 * fn
+        rq = tp / denom if denom > 0 else 0.0
+        sq = sum(ious) / tp if tp else 0.0
+        scores.append((sq, rq, sq * rq))
+    if not scores:
+        return 0.0, 0.0, 0.0
+    if not class_aware:
+        return scores[0]
+    return tuple(float(np.mean([s[k] for s in scores])) for k in range(3))
+
+
+def _random_pq_stack(rng, n=14, size=12, boxes=5, classes=3):
+    """GT of classes 1..classes and a prediction, with one class more, built
+    from it by shifts, relabeling, class flips and spurious boxes; image 0
+    has an empty prediction, image 1 an empty GT, image 2 a GT class with no
+    pixels and image 3 an empty GT class table."""
+    gt_ids = np.zeros((n, size, size), dtype=np.int32)
+    gt_tables, pred_tables = [], []
+    pred_ids = np.zeros_like(gt_ids)
+    for b in range(n):
+        k = int(rng.integers(1, boxes + 1))
+        for i in range(1, k + 1):
+            h, w = rng.integers(2, 7, size=2)
+            r, c = rng.integers(0, size - h), rng.integers(0, size - w)
+            gt_ids[b, r:r + h, c:c + w] = i   # later boxes may hide earlier ids
+        gt_tables.append(rng.integers(1, classes + 1, size=k))
+        perm = np.concatenate([[0], rng.permutation(k) + 1])
+        pred_ids[b] = np.roll(perm[gt_ids[b]], tuple(rng.integers(0, 2, size=2)), axis=(0, 1))
+        extra = int(rng.integers(0, 3))
+        for i in range(k + 1, k + extra + 1):
+            r, c = rng.integers(0, size - 3, size=2)
+            pred_ids[b, r:r + 3, c:c + 3] = i
+        table = np.empty(k + extra, dtype=np.int64)
+        table[perm[1:] - 1] = gt_tables[-1]
+        flip = rng.random(k + extra) < 0.3
+        table[flip] = rng.integers(1, classes + 2, size=int(flip.sum()))
+        pred_tables.append(table)
+    pred_ids[0] = 0
+    gt_ids[1] = 0
+    gt_ids[3] = 0
+    gt_tables[3] = gt_tables[3][:0]
+    gt_ids[2][gt_ids[2] == 1] = 0
+    gt_tables[2][0] = classes + 1         # a gt class held only by an id without pixels
+    return pred_ids, pred_tables, gt_ids, gt_tables
+
+
+def _stack(ids, tables):
+    return InstanceStack.from_tables(ids, [len(t) for t in tables], np.concatenate(tables))
+
+
+@pytest.mark.parametrize("class_aware", [False, True], ids=["agnostic", "class-aware"])
+def test_stacked_pq_equals_brute_force_oracle(class_aware):
+    for seed in range(6):
+        rng = np.random.default_rng(300 + seed)
+        pred_ids, pred_tables, gt_ids, gt_tables = _random_pq_stack(rng)
+        pred, gt = _stack(pred_ids, pred_tables), _stack(gt_ids, gt_tables)
+        rep = panoptic_quality(pred, gt, class_aware=class_aware)
+        matched = 0
+        for b in range(len(gt_ids)):
+            one_p, one_g = pred.image(b), gt.image(b)
+            expected = _oracle_pq(one_p, one_g, class_aware)
+            assert (rep.sq[b], rep.rq[b], rep.pq[b]) == expected, (seed, b)
+            single = panoptic_quality(one_p, one_g, class_aware=class_aware)
+            assert (single.sq, single.rq, single.pq) == expected
+            assert single.matches == tuple(m[1:] for m in rep.matches if m[0] == b)
+            assert single.fp == tuple(f[1] for f in rep.fp if f[0] == b)
+            assert single.fn == tuple(f[1] for f in rep.fn if f[0] == b)
+            matched += len(single.matches)
+        assert matched > 0
+        assert rep.pq[0] == rep.pq[1] == rep.pq[3] == 0.0
+        assert not any(f[0] in (1, 3) for f in rep.fn)
+        if class_aware:
+            assert rep.per_class[4][2][2] == 0.0 and np.isnan(rep.per_class[4][2][3])
+
+
+def test_stacked_class_mean_over_many_classes_equals_oracle():
+    # eight or more classes per image: np.mean sums pairwise, not in sequence
+    rng = np.random.default_rng(400)
+    pred_ids, pred_tables, gt_ids, gt_tables = _random_pq_stack(rng, n=40, size=24,
+                                                                boxes=16, classes=12)
+    pred, gt = _stack(pred_ids, pred_tables), _stack(gt_ids, gt_tables)
+    rep = panoptic_quality(pred, gt, class_aware=True)
+    assert max(len(set(t.tolist())) for t in gt_tables) >= 9
+    for b in range(len(gt_ids)):
+        assert (rep.sq[b], rep.rq[b], rep.pq[b]) == _oracle_pq(pred.image(b), gt.image(b), True)
+
+
+def test_pq_class_aware_conventions():
+    gt = np.zeros((8, 8), dtype=np.int32)
+    gt[0:3, 0:3] = 1
+    pred = gt.copy()
+    pred[5:8, 5:8] = 2                       # class 9 is not in the gt table
+    rep = panoptic_quality(_mask(pred, {1: 1, 2: 9}), _mask(gt, {1: 1, 2: 2}),
+                           class_aware=True)
+    # class 2 labels an id with no pixels: it scores 0 and counts in the mean
+    assert rep.per_class == {1: (1.0, 1.0, 1.0), 2: (0.0, 0.0, 0.0)}
+    assert rep.pq == 0.5 and rep.fp == () and rep.fn == ()
+
+
+def test_stacked_gt_errors_name_the_image():
+    ids = np.zeros((3, 4, 4), dtype=np.int32)
+    ids[2, 0, 0] = 2
+    gt = InstanceStack.from_tables(ids, [0, 1, 1], [1, 1])
+    with pytest.raises(MaskError, match="without class labels: \\[2\\]") as exc:
+        panoptic_quality(InstanceStack.from_tables(np.zeros_like(ids), [0, 0, 0], []), gt)
+    assert exc.value.image == 2
+    ids[1, 3, 3] = -1
+    with pytest.raises(MaskError, match=">= 0") as exc:
+        InstanceStack.from_tables(ids, [0, 0, 0], [])
+    assert exc.value.image == 1
