@@ -64,15 +64,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, data={self.data!r})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class _Node:
     __slots__ = ("op", "inputs", "param_id", "requires_grad", "backward_fn")
@@ -137,38 +128,19 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _reduce_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to `shape` after numpy trailing-axes broadcasting."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    keep = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
-    if keep:
-        g = g.sum(axis=keep, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # ops
 
 def add(a, b) -> Tensor:
-    """Elementwise a + b; b may broadcast into a over trailing axes (bias)."""
+    """Elementwise sum of same-shape tensors."""
     a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data + b.data
-    except ValueError:
-        raise ShapeMismatchError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
-    if out.shape != a.shape:
-        raise ShapeMismatchError(
-            f"add: second operand {b.shape} must broadcast into first {a.shape}")
-    b_shape = b.shape
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"add: shapes differ, {a.shape} vs {b.shape}")
 
     def backward_fn(g, needs):
-        da = g if needs[0] else None
-        db = _reduce_to_shape(g, b_shape) if needs[1] else None
-        return da, db
+        return (g if needs[0] else None, g if needs[1] else None)
 
-    return _record("add", (a, b), out, backward_fn)
+    return _record("add", (a, b), a.data + b.data, backward_fn)
 
 
 def mul(a, b) -> Tensor:
@@ -184,30 +156,24 @@ def mul(a, b) -> Tensor:
     return _record("mul", (a, b), ad * bd, backward_fn)
 
 
-def scale(x, c: float) -> Tensor:
-    """Multiply by a python scalar constant."""
-    x = _as_tensor(x)
-    c = float(c)
-
-    def backward_fn(g, needs):
-        return (c * g if needs[0] else None,)
-
-    return _record("scale", (x,), c * x.data, backward_fn)
-
-
-def matmul(a, b) -> Tensor:
-    """2-D matrix product; backward dA = dC @ B^T, dB = A^T @ dC."""
-    a, b = _as_tensor(a), _as_tensor(b)
+def matmul(a, b, bias) -> Tensor:
+    """(B,D) @ (D,K) plus a (K,) bias; backward dA = dC @ B^T, dB = A^T @ dC."""
+    a, b, bias = _as_tensor(a), _as_tensor(b), _as_tensor(bias)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul: cannot multiply {a.shape} by {b.shape}")
+    if bias.shape != b.shape[1:]:
+        raise ShapeMismatchError(f"matmul: bias {bias.shape} must be ({b.shape[1]},)")
     ad, bd = a.data, b.data
+    out = ad @ bd
+    out += bias.data
 
     def backward_fn(g, needs):
         da = g @ bd.T if needs[0] else None
         db = ad.T @ g if needs[1] else None
-        return da, db
+        dbias = g.sum(axis=0) if needs[2] else None
+        return da, db, dbias
 
-    return _record("matmul", (a, b), ad @ bd, backward_fn)
+    return _record("matmul", (a, b, bias), out, backward_fn)
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
@@ -219,32 +185,33 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> 
     return np.ascontiguousarray(patches).reshape(B, C * kh * kw, ho * wo)
 
 
-def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation with zero padding.
+def conv2d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D cross-correlation with zero padding, plus a per-filter bias.
 
-    `x` is (C,H,W) or (B,C,H,W); `kernels` is (F,C,kh,kw). Output spatial
-    extent is floor((H + 2*padding - kh)/stride) + 1 and must be positive.
-    Computed as one GEMM per image, (F, C*kh*kw) @ (C*kh*kw, ho*wo), written
-    straight into the NCHW output. For a 1x1 stride-1 unpadded conv the
-    columns are a view of the input, with no copy.
+    `x` is (B,C,H,W), `kernels` is (F,C,kh,kw) and `bias` is (F,1,1). Output
+    spatial extent is floor((H + 2*padding - kh)/stride) + 1 and must be
+    positive. Computed as one GEMM per image, (F, C*kh*kw) @ (C*kh*kw, ho*wo),
+    written straight into the NCHW output, and the bias is added in place.
+    For a 1x1 stride-1 unpadded conv the columns are a view of the input,
+    with no copy.
     """
-    x, kernels = _as_tensor(x), _as_tensor(kernels)
+    x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     if stride < 1:
         raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
     if padding < 0:
         raise ValueError(f"conv2d: padding must be >= 0, got {padding}")
     if kernels.data.ndim != 4:
         raise ShapeMismatchError(f"conv2d: kernels must be 4-D (F,C,kh,kw), got {kernels.shape}")
-    batched = x.data.ndim == 4
-    if not batched and x.data.ndim != 3:
-        raise ShapeMismatchError(f"conv2d: input must be (C,H,W) or (B,C,H,W), got {x.shape}")
-    xd = x.data if batched else x.data[None]
-    B, C, H, W = xd.shape
+    if x.data.ndim != 4:
+        raise ShapeMismatchError(f"conv2d: input must be (B,C,H,W), got {x.shape}")
+    B, C, H, W = x.shape
     F, Ck, kh, kw = kernels.shape
     if Ck != C:
         raise ShapeMismatchError(
             f"conv2d: input channels {C} do not match kernel channels {Ck} "
             f"(input {x.shape}, kernels {kernels.shape})")
+    if bias.shape != (F, 1, 1):
+        raise ShapeMismatchError(f"conv2d: bias {bias.shape} must be ({F}, 1, 1)")
     if kh > H + 2 * padding or kw > W + 2 * padding:
         raise ShapeMismatchError(
             f"conv2d: kernel {kh}x{kw} larger than padded input "
@@ -256,13 +223,14 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
 
     if padding:
         xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
-        xp[:, :, padding:padding + H, padding:padding + W] = xd
+        xp[:, :, padding:padding + H, padding:padding + W] = x.data
     else:
-        xp = xd
+        xp = x.data
     cols = _im2col(xp, kh, kw, stride, ho, wo)
     wmat = kernels.data.reshape(F, C * kh * kw)
-    out = np.empty((B, F, ho, wo) if batched else (F, ho, wo))
+    out = np.empty((B, F, ho, wo))
     np.matmul(wmat, cols, out=out.reshape(B, F, ho * wo))
+    out += bias.data
 
     hp, wp = H + 2 * padding, W + 2 * padding
 
@@ -270,6 +238,7 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
         g3 = g.reshape(B, F, ho * wo)
         dk = np.matmul(g3, cols.transpose(0, 2, 1)).sum(0).reshape(F, C, kh, kw) \
             if needs[1] else None
+        db = g.sum(0).sum(axis=(1, 2), keepdims=True) if needs[2] else None
         dx = None
         if needs[0]:
             dc = np.matmul(wmat.T, g3).reshape(B, C, kh, kw, ho, wo)
@@ -279,11 +248,9 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
                     dxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += \
                         dc[:, :, i, j]
             dx = dxp[:, :, padding:padding + H, padding:padding + W]
-            if not batched:
-                dx = dx[0]
-        return dx, dk
+        return dx, dk, db
 
-    return _record("conv2d", (x, kernels), out, backward_fn)
+    return _record("conv2d", (x, kernels, bias), out, backward_fn)
 
 
 def relu(x) -> Tensor:
@@ -336,10 +303,10 @@ def apply_activation(x, kind: str) -> Tensor:
 
 
 def global_avg_pool(x) -> Tensor:
-    """Mean over the two trailing spatial axes: (...,C,H,W) -> (...,C)."""
+    """Mean over the two spatial axes: (B,C,H,W) -> (B,C)."""
     x = _as_tensor(x)
-    if x.data.ndim not in (3, 4):
-        raise ShapeMismatchError(f"global_avg_pool: need (C,H,W) or (B,C,H,W), got {x.shape}")
+    if x.data.ndim != 4:
+        raise ShapeMismatchError(f"global_avg_pool: need (B,C,H,W), got {x.shape}")
     h, w = x.shape[-2:]
     out = x.data.mean(axis=(-2, -1))
 
@@ -352,12 +319,12 @@ def global_avg_pool(x) -> Tensor:
 
 
 def upsample_nearest(x, factor: int) -> Tensor:
-    """Nearest-neighbor upsampling of the two trailing axes by an integer factor."""
+    """Nearest-neighbor upsampling of the spatial axes of (B,C,H,W) by an integer factor."""
     x = _as_tensor(x)
     if factor < 1:
         raise ValueError(f"upsample factor must be >= 1, got {factor}")
-    if x.data.ndim not in (3, 4):
-        raise ShapeMismatchError(f"upsample_nearest: need (C,H,W) or (B,C,H,W), got {x.shape}")
+    if x.data.ndim != 4:
+        raise ShapeMismatchError(f"upsample_nearest: need (B,C,H,W), got {x.shape}")
     out = x.data.repeat(factor, axis=-2).repeat(factor, axis=-1)
     h, w = x.shape[-2:]
 
@@ -409,23 +376,19 @@ def _check_labels(labels: np.ndarray, k: int, expect_shape: tuple[int, ...]):
 def cross_entropy(logits, labels) -> Tensor:
     """Mean negative log-softmax-probability of the target class.
 
-    Accepts (B,K) logits with (B,) labels, (K,H,W) with (H,W), or
-    (B,K,H,W) with (B,H,W). Computed through log-sum-exp, never through
-    an explicit softmax.
+    Accepts (B,K) logits with (B,) labels, or (B,K,H,W) with (B,H,W).
+    Computed through log-sum-exp, never through an explicit softmax.
     """
     logits = _as_tensor(logits)
     ld = logits.data
     if ld.ndim == 2:
-        xd, squeeze = ld[:, :, None, None], True
-    elif ld.ndim == 3:
-        xd, squeeze = ld[None], True
+        xd = ld[:, :, None, None]
     elif ld.ndim == 4:
-        xd, squeeze = ld, False
+        xd = ld
     else:
         raise ShapeMismatchError(f"cross_entropy: unsupported logits shape {logits.shape}")
     B, K, H, W = xd.shape
-    lab_shape = {2: (ld.shape[0],), 3: ld.shape[1:], 4: (B, H, W)}[ld.ndim]
-    labels = _check_labels(labels, K, lab_shape).reshape(B, H, W)
+    labels = _check_labels(labels, K, (B,) if ld.ndim == 2 else (B, H, W)).reshape(B, H, W)
 
     m = xd.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(xd - m).sum(axis=1, keepdims=True))  # (B,1,H,W)
@@ -440,9 +403,7 @@ def cross_entropy(logits, labels) -> Tensor:
         p = np.exp(xd - lse)
         p[bi, labels, hi, wi] -= 1.0
         d = p * (float(g) / n)
-        if squeeze:
-            d = d[:, :, 0, 0] if ld.ndim == 2 else d[0]
-        return (d,)
+        return (d.reshape(ld.shape),)
 
     return _record("cross_entropy", (logits,), np.asarray(loss), backward_fn)
 

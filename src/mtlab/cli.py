@@ -149,16 +149,11 @@ def evaluate_task(encoder, decoder, ds: TaskDataset) -> tuple[str, float]:
         if ds.spec.kind == KIND_CLASSIFICATION:
             labels.append(pred.argmax(axis=1))
             continue
-        try:
-            if ds.spec.kind == KIND_BINARY_SEG:
-                rep = panoptic_quality(connected_components(pred[:, 0] >= 0.5),
-                                       ds.gt_masks(chunk))
-            else:
-                rep = panoptic_quality(instances_from_class_map(pred.argmax(axis=1)),
-                                       ds.gt_masks(chunk), class_aware=True)
-        except MaskError as exc:
-            example = "" if exc.image is None else f" eval example {chunk[exc.image]}"
-            raise MaskError(f"task {ds.spec.task_id} ({ds.spec.name}){example}: {exc}") from None
+        if ds.spec.kind == KIND_BINARY_SEG:
+            rep = panoptic_quality(connected_components(pred[:, 0] >= 0.5), ds.gt_masks(chunk))
+        else:
+            rep = panoptic_quality(instances_from_class_map(pred.argmax(axis=1)),
+                                   ds.gt_masks(chunk), class_aware=True)
         pqs.append(rep.pq)
     if ds.spec.kind == KIND_CLASSIFICATION:
         return "accuracy", accuracy(np.concatenate(labels), ds.targets[idx])

@@ -161,9 +161,8 @@ class EncoderModel:
             if isinstance(layer, (Conv, Dense)):
                 w = _leaf(graph, self.store, f"{self.group}/layer{i:02d}.weight")
                 b = _leaf(graph, self.store, f"{self.group}/layer{i:02d}.bias")
-                h = (ad.conv2d(h, w, stride=layer.stride, padding=layer.padding)
-                     if isinstance(layer, Conv) else ad.matmul(h, w))
-                h = ad.add(h, b)
+                h = (ad.conv2d(h, w, b, stride=layer.stride, padding=layer.padding)
+                     if isinstance(layer, Conv) else ad.matmul(h, w, b))
             elif isinstance(layer, Activation):
                 h = ad.apply_activation(h, layer.kind)
             elif isinstance(layer, GlobalAvgPool):
@@ -255,7 +254,7 @@ class ClassificationDecoder:
                 f"got {features.shape}")
         w = _leaf(graph, self.store, f"{self.group}/head.weight")
         b = _leaf(graph, self.store, f"{self.group}/head.bias")
-        return ad.add(ad.matmul(features, w), b)
+        return ad.matmul(features, w, b)
 
     def predict(self, logits: Tensor) -> Tensor:
         return ad.softmax(logits)
@@ -289,7 +288,7 @@ class SegmentationDecoder:
             h = ad.upsample_nearest(h, f)
         w = _leaf(graph, self.store, f"{self.group}/proj.weight")
         b = _leaf(graph, self.store, f"{self.group}/proj.bias")
-        return ad.add(ad.conv2d(h, w), b)
+        return ad.conv2d(h, w, b)
 
     def predict(self, logits: Tensor) -> Tensor:
         if self.nonlinearity == "softmax":

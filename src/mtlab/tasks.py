@@ -94,9 +94,16 @@ class TaskDataset:
             if not np.isin(self.targets, (0.0, 1.0)).all():
                 raise ValueError("binary masks must be 0/1 valued")
         else:
-            for table in self.targets.class_tables:
+            for i, table in enumerate(self.targets.class_tables):
                 if table.size and (table.min() < 1 or table.max() > k):
-                    raise ValueError(f"instance class out of range for {k} classes")
+                    raise ValueError(f"example {i}: class table holds a class outside 1..{k}")
+            ids = self.targets.id_maps
+            counts = np.array([len(t) for t in self.targets.class_tables])
+            bad = np.flatnonzero((ids.min(axis=(1, 2)) < 0) | (ids.max(axis=(1, 2)) > counts))
+            if bad.size:
+                i = int(bad[0])
+                raise ValueError(f"example {i}: id map holds ids outside 0..{counts[i]}, "
+                                 f"the ids its class table labels")
 
     def indices(self, split: str) -> np.ndarray:
         if split == "train":
@@ -362,8 +369,11 @@ def load_dataset(path) -> TaskDataset:
     else:
         targets = r.tensor()
     r.finish()
-    spec = TaskSpec(task_id, name, kind, k, input_shape)
-    return TaskDataset(spec, inputs, targets, split, seed)
+    try:
+        return TaskDataset(TaskSpec(task_id, name, kind, k, input_shape),
+                           inputs, targets, split, seed)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def save_mask(path, mask: InstanceMask) -> None:

@@ -436,8 +436,6 @@ def test_eval_names_task_and_example_of_gt_id_without_class(tmp_path, capsys):
     table = ds.targets.class_tables[bad]
     ds.targets.id_maps[bad, 0, 0] = len(table) + 1      # an id past its class table
     save_dataset(path, ds)
-    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
-    assert main(["eval", "--config", str(cfg), "--no-timestamp"]) == 3
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 3
     err = capsys.readouterr().err
-    assert "task 1 (cells)" in err and f"eval example {bad}" in err
-    assert f"without class labels: [{len(table) + 1}]" in err
+    assert str(path) in err and f"example {bad}: id map" in err

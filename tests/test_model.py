@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mtlab.autodiff import Graph, Tensor
+from mtlab.config import DEFAULT_ENCODER, parse_encoder_spec
 from mtlab.model import (
     Activation,
     Conv,
@@ -13,6 +14,7 @@ from mtlab.model import (
     build_encoder,
     build_segmentation_decoder,
     forward_task,
+    forward_task_logits,
 )
 
 
@@ -184,3 +186,18 @@ def test_initialization_seeded_and_in_range():
     bound = np.sqrt(6.0 / (3 * 9 + 4 * 9))
     assert np.all(np.abs(w1) <= bound)
     assert not s1.get("encoder/layer00.bias").data.any()
+
+
+@pytest.mark.parametrize("kind, ops", [
+    ("classification", ["conv2d", "relu", "global_avg_pool", "matmul"]),
+    ("segmentation", ["conv2d", "relu", "conv2d"]),
+])
+def test_each_conv_or_dense_layer_is_one_tape_op(kind, ops):
+    store = ParamStore()
+    enc = build_encoder(parse_encoder_spec(DEFAULT_ENCODER), (3, 32, 32), store, _rng())
+    dec = (build_classification_decoder(0, enc.feature_dim, 3, store, _rng())
+           if kind == "classification" else
+           build_segmentation_decoder(0, enc.map_shape, 3, (), (32, 32), store, _rng()))
+    g = Graph()
+    forward_task_logits(enc, dec, Tensor(np.zeros((2, 3, 32, 32))), g)
+    assert [n.op for n in g._nodes if n.op not in ("leaf", "const")] == ops

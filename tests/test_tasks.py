@@ -19,6 +19,7 @@ from mtlab.tasks import (
 from mtlab.tensorio import (
     BadMagicError,
     ChecksumError,
+    FileFormatError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -235,6 +236,35 @@ def test_truncated_file_rejected_with_offset(tmp_path):
     with pytest.raises(TruncatedFileError) as exc:
         load_dataset(path)
     assert exc.value.offset > 0
+
+
+def _saved_instance_task(tmp_path, corrupt):
+    """An instance task saved after `corrupt(targets, example)` edits one example."""
+    ds = gen_segmentation_task(KIND_INSTANCE_SEG, 16, 3, 3, 6, 3, seed=36, task_id=4)
+    example = 5
+    corrupt(ds.targets, example)
+    path = tmp_path / "task.mtld"
+    save_dataset(path, ds)
+    return path, example
+
+
+def test_instance_class_past_num_classes_is_a_named_format_error(tmp_path):
+    def corrupt(targets, i):
+        targets.class_tables[i][0] = 4  # the task has 3 classes
+    path, example = _saved_instance_task(tmp_path, corrupt)
+    with pytest.raises(FileFormatError, match=f"example {example}: class table") as exc:
+        load_dataset(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("past_table", [True, False], ids=["past-table", "negative"])
+def test_instance_id_outside_its_class_table_is_a_named_format_error(tmp_path, past_table):
+    def corrupt(targets, i):
+        targets.id_maps[i, 0, 0] = len(targets.class_tables[i]) + 1 if past_table else -1
+    path, example = _saved_instance_task(tmp_path, corrupt)
+    with pytest.raises(FileFormatError, match=f"example {example}: id map") as exc:
+        load_dataset(path)
+    assert str(path) in str(exc.value)
 
 
 def test_mask_round_trip(tmp_path):
