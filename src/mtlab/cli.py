@@ -316,19 +316,22 @@ def cmd_pq(pred_path: Path, gt_path: Path, class_aware: bool,
     pred = load_mask(pred_path)
     gt = load_mask(gt_path)
     rep = panoptic_quality(pred, gt, class_aware=class_aware)
-    print(f"PQ {rep.pq!r}")
-    print(f"SQ {rep.sq!r}")
-    print(f"RQ {rep.rq!r}")
+    # each file is a stack of one: its scores are element 0
+    pq, sq, rq = (float(s[0]) for s in (rep.pq, rep.sq, rep.rq))
+    print(f"PQ {pq!r}")
+    print(f"SQ {sq!r}")
+    print(f"RQ {rq!r}")
     print(f"TP {len(rep.matches)}")
     print(f"FP {len(rep.fp)}")
     print(f"FN {len(rep.fn)}")
     if rep.per_class is not None:
-        for cls, (sq, rq, pq) in sorted(rep.per_class.items()):
-            print(f"class {cls}: PQ {pq!r} SQ {sq!r} RQ {rq!r}")
+        for cls, scores in sorted(rep.per_class.items()):
+            c_sq, c_rq, c_pq = (float(s[0]) for s in scores)
+            print(f"class {cls}: PQ {c_pq!r} SQ {c_sq!r} RQ {c_rq!r}")
     if out is not None:
         _csv_writer(out / "pq_report.csv",
                     ["pq", "sq", "rq", "tp", "fp", "fn"],
-                    [(_fmt(rep.pq), _fmt(rep.sq), _fmt(rep.rq),
+                    [(_fmt(pq), _fmt(sq), _fmt(rq),
                       len(rep.matches), len(rep.fp), len(rep.fn))],
                     timestamp)
     return EXIT_OK

@@ -4,12 +4,12 @@ Panoptic quality follows the standard decomposition PQ = SQ x RQ with
 segments matched iff IoU > 0.5, which makes the matching unique. Purely
 semantic masks are converted to instances via connected components before
 scoring. Labeling and scoring work on (B, H, W) stacks of images with a few
-array calls per stack; a single 2-D mask is scored as a stack of one.
+array calls per stack; a single image is a stack of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,44 +25,14 @@ class MaskError(ValueError):
 
 
 @dataclass(frozen=True)
-class InstanceMask:
-    """Per-pixel instance ids (0 = background) plus one class label per id."""
-
-    ids: np.ndarray
-    classes: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        ids = np.ascontiguousarray(self.ids, dtype=np.int32)
-        object.__setattr__(self, "ids", ids)
-        if ids.ndim != 2:
-            raise MaskError(f"instance map must be 2-D, got shape {ids.shape}")
-        if ids.size and ids.min() < 0:
-            raise MaskError("instance ids must be >= 0")
-        present = set(np.unique(ids).tolist()) - {0}
-        missing = present - set(self.classes)
-        if missing:
-            raise MaskError(f"instance ids without class labels: {sorted(missing)}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.ids.shape
-
-    def instance_ids(self) -> list[int]:
-        return sorted(set(np.unique(self.ids).tolist()) - {0})
-
-    def as_stack(self) -> "InstanceStack":
-        """This mask as a stack of one image."""
-        labels = [(0, i, c) for i, c in self.classes.items()]
-        return InstanceStack(self.ids[None], np.array(labels, dtype=np.int64).reshape(-1, 3))
-
-
-@dataclass(frozen=True)
 class InstanceStack:
     """Instance maps of B images, (B, H, W), plus their class labels.
 
     Each row (image, id, class) of `labels` gives the class of one id of one
-    image; ids count within each image and 0 is background. Negative ids are
-    rejected here; a present id without a label is rejected when scored.
+    image; ids count within each image and 0 is background. A single image is
+    a stack of one. Negative ids and label rows naming no image, an id below
+    1 or an id twice are rejected here; a present id without a label is
+    rejected when scored.
     """
 
     ids: np.ndarray
@@ -74,10 +44,22 @@ class InstanceStack:
             raise MaskError(f"instance stack must be 3-D, got shape {ids.shape}")
         negative = ids.reshape(len(ids), -1).min(axis=1, initial=0) < 0
         if negative.any():
-            raise MaskError("instance ids must be >= 0", image=int(negative.argmax()))
+            raise MaskError("id map holds negative ids; instance ids must be >= 0",
+                            image=int(negative.argmax()))
         labels = np.asarray(self.labels, dtype=np.int64).reshape(-1, 3)
+        labels = labels[np.lexsort((labels[:, 1], labels[:, 0]))]
+        if len(labels) and (labels[0, 0] < 0 or labels[-1, 0] >= len(ids)):
+            raise MaskError(f"label rows name images outside 0..{len(ids) - 1}")
+        repeated = np.append(False, (np.diff(labels[:, :2], axis=0) == 0).all(axis=1))
+        for bad, what in ((labels[:, 1] < 1, "ids below 1"),
+                          (repeated, "more than one label for ids")):
+            if bad.any():
+                image = labels[bad][0, 0]
+                raise MaskError(f"label rows give {what}: "
+                                f"{labels[bad & (labels[:, 0] == image), 1].tolist()}",
+                                image=int(image))
         object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "labels", labels[np.lexsort((labels[:, 1], labels[:, 0]))])
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_tables(cls, ids, counts, classes) -> "InstanceStack":
@@ -88,9 +70,21 @@ class InstanceStack:
         return cls(ids, np.column_stack([image, np.arange(len(image)) - first + 1,
                                          np.broadcast_to(classes, image.shape)]))
 
-    def image(self, b: int) -> InstanceMask:
-        rows = self.labels[self.labels[:, 0] == b]
-        return InstanceMask(self.ids[b], dict(zip(rows[:, 1].tolist(), rows[:, 2].tolist())))
+    def counts(self) -> np.ndarray:
+        """Number of label rows of each image."""
+        return np.bincount(self.labels[:, 0], minlength=len(self.ids))
+
+    def take(self, images) -> "InstanceStack":
+        """The stack of the given images, in the given order."""
+        images = np.asarray(images, dtype=np.int64)
+        counts = self.counts()
+        taken = counts[images]
+        # rows of each taken image: its first row in self, then consecutive
+        start = np.repeat((np.cumsum(counts) - counts)[images] - (np.cumsum(taken) - taken),
+                          taken)
+        labels = self.labels[start + np.arange(len(start))]
+        labels[:, 0] = np.repeat(np.arange(len(images)), taken)
+        return InstanceStack(self.ids[images], labels)
 
     def _stride(self) -> int:
         """One more than every id, so image * stride + id keys each segment."""
@@ -98,7 +92,7 @@ class InstanceStack:
 
     def _classes(self, keys: np.ndarray, stride: int, side: str) -> np.ndarray:
         """Class of each segment key (image * stride + id); 0 for background."""
-        labels = self.labels[self.labels[:, 1] > 0]
+        labels = self.labels
         label_keys = np.append(labels[:, 0] * stride + labels[:, 1], np.iinfo(np.int64).max)
         pos = np.searchsorted(label_keys, keys)
         missing = (label_keys[pos] != keys) & (keys % stride > 0)
@@ -112,47 +106,23 @@ class InstanceStack:
 
 @dataclass(frozen=True)
 class PQReport:
-    """PQ decomposition: matched pairs, FP/FN ids, and the three scores.
+    """PQ decomposition of a stack of B images: matched pairs, FP/FN ids, scores.
 
-    For one image, matches are (pred id, gt id, IoU) triples and fp/fn the
-    unmatched ids, all in id order, and sq/rq/pq are floats. For a stack,
-    each of those rows starts with the image index and sq/rq/pq are (B,)
-    arrays. For class-aware scoring, sq/rq/pq are means over the classes in
-    the ground truth's class table and `per_class` holds each class's (sq,
-    rq, pq), NaN in a stack's images whose table lacks the class; the product
-    identity pq == sq * rq then holds per class, not for the means.
+    Matches are (image, pred id, gt id, IoU) rows and fp/fn (image, id) rows,
+    all in (image, id) order; sq/rq/pq are (B,) arrays. For class-aware
+    scoring, sq/rq/pq are each image's means over the classes in its ground
+    truth's class table and `per_class` maps each class to its (sq, rq, pq)
+    arrays, NaN in images whose table lacks the class; the product identity
+    pq == sq * rq then holds per class, not for the means.
     """
 
     matches: tuple[tuple, ...]
-    fp: tuple
-    fn: tuple
-    sq: float | np.ndarray
-    rq: float | np.ndarray
-    pq: float | np.ndarray
+    fp: tuple[tuple, ...]
+    fn: tuple[tuple, ...]
+    sq: np.ndarray
+    rq: np.ndarray
+    pq: np.ndarray
     per_class: dict | None = None
-
-
-def iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection over union of two pixel sets given as boolean arrays."""
-    a = np.asarray(a, dtype=bool)
-    b = np.asarray(b, dtype=bool)
-    if a.shape != b.shape:
-        raise MaskError(f"pixel sets have different dimensions: {a.shape} vs {b.shape}")
-    union = np.logical_or(a, b).sum()
-    if union == 0:
-        raise MaskError("iou undefined for two empty pixel sets")
-    return float(np.logical_and(a, b).sum() / union)
-
-
-def match_segments(pred, gt, class_aware: bool = False):
-    """Match segments at IoU > 0.5; returns (tp pairs with IoU, fp ids, fn ids).
-
-    The threshold makes every admissible matching identical, so no search
-    is needed: each pred id can exceed 0.5 IoU with at most one gt id. The
-    lists are those of `panoptic_quality`'s report.
-    """
-    rep = panoptic_quality(pred, gt, class_aware)
-    return list(rep.matches), list(rep.fp), list(rep.fn)
 
 
 def _class_mean(x: np.ndarray, in_table: np.ndarray) -> np.ndarray:
@@ -172,18 +142,14 @@ def _class_mean(x: np.ndarray, in_table: np.ndarray) -> np.ndarray:
 def panoptic_quality(pred, gt, class_aware: bool = False) -> PQReport:
     """Score predicted instances against ground truth.
 
-    pred and gt are two InstanceMasks, or two InstanceStacks scored image by
-    image with the same code. Segments match iff IoU > 0.5. class_aware
-    restricts matching to same-class pairs and averages each image's scores
-    over the classes in its ground-truth class table; a class whose ids have
-    no pixels scores 0, and predicted segments of classes outside the table
-    are ignored.
+    pred and gt are two InstanceStacks of the same shape, scored image by
+    image. Segments match iff IoU > 0.5. class_aware restricts matching to
+    same-class pairs and averages each image's scores over the classes in its
+    ground-truth class table; a class whose ids have no pixels scores 0, and
+    predicted segments of classes outside the table are ignored.
     """
     if pred.ids.shape != gt.ids.shape:
         raise MaskError(f"mask dimensions differ: {pred.ids.shape} vs {gt.ids.shape}")
-    one = isinstance(pred, InstanceMask)
-    if one:
-        pred, gt = pred.as_stack(), gt.as_stack()
     n, kp, kg = len(pred.ids), pred._stride(), gt._stride()
     if n * kp * kg >= 2 ** 63:
         raise MaskError("instance ids too large to score together")
@@ -243,12 +209,6 @@ def panoptic_quality(pred, gt, class_aware: bool = False) -> PQReport:
     match_image, match_p = np.divmod(pkey[hit], kp)
     fp_image, fp_id = np.divmod(pseg[fp], kp)
     fn_image, fn_id = np.divmod(gseg[fn], kg)
-    if one:
-        if per_class is not None:
-            per_class = {c: tuple(float(s[0]) for s in v) for c, v in per_class.items()}
-        return PQReport(_rows(match_p, gid[hit], pair_iou[hit]), tuple(fp_id.tolist()),
-                        tuple(fn_id.tolist()), *(float(s[0]) for s in scores),
-                        per_class=per_class)
     return PQReport(_rows(match_image, match_p, gid[hit], pair_iou[hit]), _rows(fp_image, fp_id),
                     _rows(fn_image, fn_id), *scores, per_class=per_class)
 
@@ -306,28 +266,24 @@ def _label(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labeled, last - before
 
 
-def connected_components(mask: np.ndarray, cls: int = 1) -> InstanceMask | InstanceStack:
-    """Instances from a binary mask: 4-connected components, one class.
+def connected_components(mask: np.ndarray, cls: int = 1) -> InstanceStack:
+    """Instances from a (B, H, W) binary mask: 4-connected components, one class.
 
-    A (B, H, W) stack gives an InstanceStack whose ids are those of each
-    image labeled on its own.
+    Each image's ids are those of the image labeled on its own.
     """
-    mask = np.asarray(mask) != 0
-    ids, counts = _label(mask[None] if mask.ndim == 2 else mask)
-    stack = InstanceStack.from_tables(ids, counts, cls)
-    return stack.image(0) if mask.ndim == 2 else stack
+    ids, counts = _label(np.asarray(mask) != 0)
+    return InstanceStack.from_tables(ids, counts, cls)
 
 
-def instances_from_class_map(class_map: np.ndarray) -> InstanceMask | InstanceStack:
-    """Instances from a per-pixel class map (0 = background).
+def instances_from_class_map(class_map: np.ndarray) -> InstanceStack:
+    """Instances from a (B, H, W) per-pixel class map (0 = background).
 
     Each class's 4-connected components become instances labeled with that
     class; ids are assigned in (class, scan) order, so the result is
-    deterministic. A (B, H, W) stack gives an InstanceStack whose ids are
-    those of each image converted on its own.
+    deterministic, and each image's ids are those of the image converted on
+    its own.
     """
-    class_map = np.asarray(class_map)
-    maps = class_map[None] if class_map.ndim == 2 else class_map
+    maps = np.asarray(class_map)
     classes = np.unique(maps)
     classes = classes[classes != 0]
     ids = np.zeros(maps.shape, dtype=np.int32)
@@ -336,6 +292,5 @@ def instances_from_class_map(class_map: np.ndarray) -> InstanceMask | InstanceSt
         labeled, counts[:, j] = _label(maps == cls)
         taken = counts[:, :j].sum(axis=1)[:, None, None]  # ids of earlier classes
         ids += np.where(labeled > 0, labeled + taken, 0)
-    stack = InstanceStack.from_tables(ids, counts.sum(axis=1),
-                                      np.repeat(np.tile(classes, len(maps)), counts.ravel()))
-    return stack.image(0) if class_map.ndim == 2 else stack
+    return InstanceStack.from_tables(ids, counts.sum(axis=1),
+                                     np.repeat(np.tile(classes, len(maps)), counts.ravel()))

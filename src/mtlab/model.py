@@ -150,10 +150,8 @@ class EncoderModel:
     group: str
     trunk_len: int              # layers before the first global-avg-pool
     map_shape: tuple[int, ...]  # spatial feature map shape after the trunk
-    feature_shape: tuple[int, ...]
     feature_dim: int
     store: ParamStore = field(repr=False, default=None)
-    param_ids: list[str] = field(default_factory=list)
 
     def _run(self, graph: Graph | None, x: Tensor, upto: int) -> Tensor:
         h = x
@@ -204,7 +202,6 @@ def build_encoder(spec: list, input_shape, store: ParamStore, rng) -> EncoderMod
     group = "encoder"
     shape = input_shape
     trunk_len = len(spec)
-    param_ids = []
     for i, layer in enumerate(spec):
         new_shape = _propagate(layer, shape, i)
         if isinstance(layer, GlobalAvgPool) and trunk_len == len(spec):
@@ -222,7 +219,6 @@ def build_encoder(spec: list, input_shape, store: ParamStore, rng) -> EncoderMod
         if isinstance(layer, (Conv, Dense)):
             for name, t in (("weight", w), ("bias", b)):
                 store.add(group, f"{group}/layer{i:02d}.{name}", t)
-                param_ids.append(f"{group}/layer{i:02d}.{name}")
         shape = new_shape
 
     map_shape = input_shape
@@ -232,8 +228,7 @@ def build_encoder(spec: list, input_shape, store: ParamStore, rng) -> EncoderMod
     feature_dim = int(np.prod(shape)) if shape else 1
     return EncoderModel(
         input_shape=input_shape, layers=list(spec), group=group, trunk_len=trunk_len,
-        map_shape=map_shape, feature_shape=shape, feature_dim=feature_dim,
-        store=store, param_ids=param_ids)
+        map_shape=map_shape, feature_dim=feature_dim, store=store)
 
 
 @dataclass
@@ -269,7 +264,6 @@ class SegmentationDecoder:
     map_shape: tuple[int, int, int]
     num_classes: int
     upsample_factors: tuple[int, ...]
-    output_hw: tuple[int, int]
     store: ParamStore = field(repr=False, default=None)
     kind: str = "segmentation"
 
@@ -338,7 +332,7 @@ def build_segmentation_decoder(task_id: int, feature_map_shape, num_classes: int
     store.add(group, f"{group}/proj.bias", Tensor(np.zeros((num_classes, 1, 1))))
     return SegmentationDecoder(task_id=task_id, group=group, map_shape=(c, h, w),
                                num_classes=num_classes, upsample_factors=factors,
-                               output_hw=(ho, wo), store=store)
+                               store=store)
 
 
 def forward_task(encoder: EncoderModel, decoder, x: Tensor, graph: Graph | None) -> Tensor:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .autodiff import Tensor
-from .metrics import InstanceMask, InstanceStack
+from .metrics import InstanceStack, MaskError, connected_components
 from .tensorio import BlockWriter, FileFormatError, read_file
 
 DATASET_MAGIC = b"MTLD"
@@ -51,29 +51,12 @@ class TaskSpec:
 
 
 @dataclass
-class InstanceTargets:
-    """Instance id maps plus, per example, the class of each id (ids 1..k)."""
-
-    id_maps: np.ndarray               # (n, H, W) int32
-    class_tables: list[np.ndarray]    # each (k_e,) int32
-
-    def class_map(self, idx: int) -> np.ndarray:
-        lut = np.concatenate([[0], self.class_tables[idx]]).astype(np.int32)
-        return lut[self.id_maps[idx]]
-
-    def stack(self, idx) -> InstanceStack:
-        tables = [self.class_tables[i] for i in idx]
-        return InstanceStack.from_tables(self.id_maps[idx], [len(t) for t in tables],
-                                         np.concatenate(tables))
-
-
-@dataclass
 class TaskDataset:
     """One task's sampleable example store with disjoint train/eval splits."""
 
     spec: TaskSpec
     inputs: np.ndarray     # (n, *input_shape) float64
-    targets: np.ndarray | InstanceTargets
+    targets: np.ndarray | InstanceStack  # an instance task labels example e's ids 1..k_e
     split: np.ndarray      # (n,) int32, 0 = train, 1 = eval
     seed: int
     _train_idx: np.ndarray = field(init=False, repr=False)
@@ -94,12 +77,15 @@ class TaskDataset:
             if not np.isin(self.targets, (0.0, 1.0)).all():
                 raise ValueError("binary masks must be 0/1 valued")
         else:
-            for i, table in enumerate(self.targets.class_tables):
-                if table.size and (table.min() < 1 or table.max() > k):
-                    raise ValueError(f"example {i}: class table holds a class outside 1..{k}")
-            ids = self.targets.id_maps
-            counts = np.array([len(t) for t in self.targets.class_tables])
-            bad = np.flatnonzero((ids.min(axis=(1, 2)) < 0) | (ids.max(axis=(1, 2)) > counts))
+            ids, labels = self.targets.ids, self.targets.labels
+            counts = self.targets.counts()
+            for bad, what in ((labels[:, 1] > counts[labels[:, 0]],
+                               "labeled ids skip an id; they must be 1..k"),
+                              ((labels[:, 2] < 1) | (labels[:, 2] > k),
+                               f"class table holds a class outside 1..{k}")):
+                if bad.any():
+                    raise ValueError(f"example {labels[bad][0, 0]}: {what}")
+            bad = np.flatnonzero(ids.max(axis=(1, 2), initial=0) > counts)
             if bad.size:
                 i = int(bad[0])
                 raise ValueError(f"example {i}: id map holds ids outside 0..{counts[i]}, "
@@ -115,19 +101,19 @@ class TaskDataset:
     def gt_masks(self, idx: np.ndarray) -> InstanceStack:
         """Ground-truth instances for a stack of examples of a segmentation task."""
         if self.spec.kind == KIND_INSTANCE_SEG:
-            return self.targets.stack(idx)
+            return self.targets.take(idx)
         if self.spec.kind == KIND_BINARY_SEG:
-            from .metrics import connected_components
             return connected_components(self.targets[idx])
         raise ValueError("classification tasks have no instance masks")
 
-    def gt_mask(self, idx: int) -> InstanceMask:
-        """Ground-truth instances for one example of a segmentation task."""
-        return self.gt_masks(np.array([idx])).image(0)
-
     def batch_targets(self, idx: np.ndarray):
         if self.spec.kind == KIND_INSTANCE_SEG:
-            return np.stack([self.targets.class_map(i) for i in idx])
+            # id j > 0 of example i has the class of label row first[i] + j - 1;
+            # background indexes the 0 appended as row -1
+            labels = self.targets.labels
+            ids = self.targets.ids[idx]
+            rows = np.searchsorted(labels[:, 0], idx)[:, None, None] + ids - 1
+            return np.append(labels[:, 2], 0).astype(np.int32)[np.where(ids > 0, rows, -1)]
         return self.targets[idx]
 
     def equals(self, other: "TaskDataset") -> bool:
@@ -137,10 +123,8 @@ class TaskDataset:
                 and np.array_equal(self.inputs, other.inputs)):
             return False
         if self.spec.kind == KIND_INSTANCE_SEG:
-            return (np.array_equal(self.targets.id_maps, other.targets.id_maps)
-                    and len(self.targets.class_tables) == len(other.targets.class_tables)
-                    and all(np.array_equal(a, b) for a, b in
-                            zip(self.targets.class_tables, other.targets.class_tables)))
+            return (np.array_equal(self.targets.ids, other.targets.ids)
+                    and np.array_equal(self.targets.labels, other.targets.labels))
         return np.array_equal(self.targets, other.targets)
 
 
@@ -288,7 +272,13 @@ def gen_segmentation_task(kind: str, image_size: int, max_instances: int,
     if kind == KIND_BINARY_SEG:
         targets = (id_maps > 0).astype(np.float64)
         return TaskDataset(spec, inputs, targets, split, seed)
-    return TaskDataset(spec, inputs, InstanceTargets(id_maps, class_tables), split, seed)
+    return TaskDataset(spec, inputs, _instances(id_maps, class_tables), split, seed)
+
+
+def _instances(id_maps: np.ndarray, tables: list[np.ndarray]) -> InstanceStack:
+    """Instances whose example e labels its ids 1..k_e with the k_e classes tables[e]."""
+    return InstanceStack.from_tables(id_maps, [t.size for t in tables],
+                                     np.concatenate([np.zeros(0, np.int32), *tables]))
 
 
 # paper-style task mix: seven classification arities plus four segmentation tasks
@@ -342,8 +332,9 @@ def save_dataset(path, ds: TaskDataset) -> None:
     elif ds.spec.kind == KIND_BINARY_SEG:
         w.tensor(ds.targets)
     else:
-        w.tensor(ds.targets.id_maps)
-        for table in ds.targets.class_tables:
+        w.tensor(ds.targets.ids)
+        classes = ds.targets.labels[:, 2].astype(np.int32)
+        for table in np.split(classes, np.cumsum(ds.targets.counts())[:-1]):
             w.tensor(table)
     w.save(path)
 
@@ -363,31 +354,55 @@ def load_dataset(path) -> TaskDataset:
     n = r.u32()
     split = r.tensor()
     inputs = r.tensor()
-    if kind == KIND_INSTANCE_SEG:
-        id_maps = r.tensor()
-        targets = InstanceTargets(id_maps, [r.tensor() for _ in range(n)])
-    else:
-        targets = r.tensor()
+    targets = r.tensor()
+    tables = [r.tensor() for _ in range(n)] if kind == KIND_INSTANCE_SEG else None
     r.finish()
+    for what, rows in (("split", split), ("inputs", inputs), ("targets", targets)):
+        if rows.shape[:1] != (n,):
+            raise FileFormatError(f"{path}: the header counts {n} examples but {what} "
+                                  f"has shape {rows.shape}")
+    if inputs.shape[1:] != input_shape:
+        raise FileFormatError(f"{path}: inputs have shape {inputs.shape[1:]} per example "
+                              f"but the header gives the input shape {input_shape}")
     try:
+        if tables is not None:
+            targets = _instances(targets, tables)
         return TaskDataset(TaskSpec(task_id, name, kind, k, input_shape),
                            inputs, targets, split, seed)
+    except MaskError as exc:
+        where = "" if exc.image is None else f"example {exc.image}: "
+        raise FileFormatError(f"{path}: {where}{exc}") from None
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
 
 
-def save_mask(path, mask: InstanceMask) -> None:
-    """Instance mask container: id map plus (id, class) pairs."""
+def save_mask(path, mask: InstanceStack) -> None:
+    """Instance mask container for a stack of one: id map plus (id, class) pairs."""
+    if len(mask.ids) != 1:
+        raise ValueError(f"a mask file holds one image, got a stack of {len(mask.ids)}")
     w = BlockWriter(MASK_MAGIC, MASK_VERSION)
-    w.tensor(mask.ids)
-    pairs = np.array(sorted(mask.classes.items()), dtype=np.int32).reshape(-1, 2)
-    w.tensor(pairs)
+    w.tensor(mask.ids[0])
+    w.tensor(mask.labels[:, 1:].astype(np.int32))
     w.save(path)
 
 
-def load_mask(path) -> InstanceMask:
+def load_mask(path) -> InstanceStack:
+    """A mask file as a stack of one; a file that cannot be scored is a FileFormatError."""
     r = read_file(path, MASK_MAGIC, MASK_VERSION)
     ids = r.tensor()
     pairs = r.tensor()
     r.finish()
-    return InstanceMask(ids, {int(i): int(c) for i, c in pairs})
+    if ids.ndim != 2:
+        raise FileFormatError(f"{path}: the id map must be 2-D, got shape {ids.shape}")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise FileFormatError(f"{path}: the (id, class) pairs must have shape (m, 2), "
+                              f"got {pairs.shape}")
+    try:
+        mask = InstanceStack(ids[None], np.insert(pairs, 0, 0, axis=1))
+    except MaskError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+    unlabeled = np.setdiff1d(mask.ids, np.append(pairs[:, 0], 0))
+    if unlabeled.size:
+        raise FileFormatError(f"{path}: instance ids without class labels: "
+                              f"{unlabeled.tolist()}")
+    return mask

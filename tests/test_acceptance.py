@@ -139,22 +139,21 @@ def test_criterion_4_decoder_isolation():
 
 def test_criterion_5_pq_oracle_equivalence():
     t0 = time.monotonic()
-    from mtlab.metrics import match_segments
 
     for seed in range(200):
         rng = np.random.default_rng(seed)
         pred = test_metrics._random_mask(rng)
         gt = test_metrics._random_mask(rng)
-        tp, _, _ = match_segments(pred, gt)
-        assert {(p, g) for p, g, _ in tp} == test_metrics._exhaustive_match(pred, gt)
+        tp = panoptic_quality(pred, gt).matches
+        assert {(p, g) for _, p, g, _ in tp} == test_metrics._exhaustive_match(pred, gt)
 
     ids = np.zeros((8, 8), dtype=np.int32)
     ids[1:4, 1:4] = 1
     perfect = test_metrics._mask(ids)
-    assert panoptic_quality(perfect, perfect).pq == 1.0
+    assert panoptic_quality(perfect, perfect).pq[0] == 1.0
 
     empty = test_metrics._mask(np.zeros((8, 8), dtype=np.int32))
-    assert panoptic_quality(empty, perfect).pq == 0.0
+    assert panoptic_quality(empty, perfect).pq[0] == 0.0
 
     gt = np.zeros((4, 8), dtype=np.int32)
     gt[0, 0:4] = 1
@@ -162,7 +161,7 @@ def test_criterion_5_pq_oracle_equivalence():
     pred[0, 1:5] = 1
     pred[3, 0:3] = 2
     rep = panoptic_quality(test_metrics._mask(pred), test_metrics._mask(gt))
-    assert rep.pq == pytest.approx(0.4, abs=5e-16)
+    assert rep.pq[0] == pytest.approx(0.4, abs=5e-16)
 
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"PQ oracle took {elapsed:.1f}s"

@@ -8,9 +8,12 @@ from mtlab import cli
 from mtlab.autodiff import Tensor
 from mtlab.cli import main
 from mtlab.config import parse_encoder_spec
+from mtlab.metrics import InstanceStack
 from mtlab.model import ParamStore, build_encoder, forward_task
-from mtlab.tasks import (KIND_BINARY_SEG, KIND_INSTANCE_SEG, TRAIN, gen_classification_task,
-                         gen_segmentation_task, load_dataset, save_dataset, save_mask)
+from mtlab.tasks import (KIND_BINARY_SEG, KIND_INSTANCE_SEG, MASK_MAGIC, MASK_VERSION, TRAIN,
+                         gen_classification_task, gen_segmentation_task, load_dataset,
+                         save_dataset, save_mask)
+from mtlab.tensorio import BlockWriter
 from mtlab.trainer import build_decoders, load_checkpoint
 
 
@@ -348,7 +351,7 @@ def test_diagnose_without_trace_is_explicit_error(tmp_path, capsys):
 def test_pq_command_self_comparison(tmp_path, capsys):
     ds = gen_segmentation_task("instance-segmentation", 16, 3, 3, 2, 1, seed=3)
     mask_path = tmp_path / "m.mtlm"
-    save_mask(mask_path, ds.gt_mask(0))
+    save_mask(mask_path, ds.gt_masks([0]))
     assert main(["pq", str(mask_path), str(mask_path)]) == 0
     out = capsys.readouterr().out
     assert "PQ 1.0" in out
@@ -360,9 +363,8 @@ def test_pq_command_hand_fixture(tmp_path, capsys):
     pred = np.zeros((4, 8), dtype=np.int32)
     pred[0, 1:5] = 1
     pred[3, 0:3] = 2
-    from mtlab.metrics import InstanceMask
-    save_mask(tmp_path / "gt.mtlm", InstanceMask(gt, {1: 1}))
-    save_mask(tmp_path / "pred.mtlm", InstanceMask(pred, {1: 1, 2: 1}))
+    save_mask(tmp_path / "gt.mtlm", InstanceStack(gt[None], [(0, 1, 1)]))
+    save_mask(tmp_path / "pred.mtlm", InstanceStack(pred[None], [(0, 1, 1), (0, 2, 1)]))
     assert main(["pq", str(tmp_path / "pred.mtlm"), str(tmp_path / "gt.mtlm")]) == 0
     lines = capsys.readouterr().out.splitlines()
     values = dict(line.split(None, 1) for line in lines)
@@ -371,14 +373,27 @@ def test_pq_command_hand_fixture(tmp_path, capsys):
 
 
 def test_pq_command_dimension_mismatch(tmp_path):
-    from mtlab.metrics import InstanceMask
-    a = np.zeros((4, 4), dtype=np.int32)
-    a[0, 0] = 1
-    b = np.zeros((5, 5), dtype=np.int32)
-    b[0, 0] = 1
-    save_mask(tmp_path / "a.mtlm", InstanceMask(a, {1: 1}))
-    save_mask(tmp_path / "b.mtlm", InstanceMask(b, {1: 1}))
+    a = np.zeros((1, 4, 4), dtype=np.int32)
+    a[0, 0, 0] = 1
+    b = np.zeros((1, 5, 5), dtype=np.int32)
+    b[0, 0, 0] = 1
+    save_mask(tmp_path / "a.mtlm", InstanceStack(a, [(0, 1, 1)]))
+    save_mask(tmp_path / "b.mtlm", InstanceStack(b, [(0, 1, 1)]))
     assert main(["pq", str(tmp_path / "a.mtlm"), str(tmp_path / "b.mtlm")]) == 3
+
+
+def test_pq_command_names_a_mask_file_with_duplicate_labels(tmp_path, capsys):
+    ids = np.zeros((4, 4), dtype=np.int32)
+    ids[0, 0] = 1
+    save_mask(tmp_path / "gt.mtlm", InstanceStack(ids[None], [(0, 1, 1)]))
+    bad = tmp_path / "pred.mtlm"
+    w = BlockWriter(MASK_MAGIC, MASK_VERSION)
+    w.tensor(ids)
+    w.tensor(np.array([[1, 1], [1, 2]], dtype=np.int32))   # id 1 labeled twice
+    w.save(bad)
+    assert main(["pq", str(bad), str(tmp_path / "gt.mtlm")]) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and "more than one label" in err
 
 
 def test_concentration_std_decreasing_and_deterministic(tmp_path):
@@ -433,8 +448,8 @@ def test_eval_names_task_and_example_of_gt_id_without_class(tmp_path, capsys):
     path = out / "data" / entry["path"]
     ds = load_dataset(path)
     bad = int(ds.indices("eval")[3])
-    table = ds.targets.class_tables[bad]
-    ds.targets.id_maps[bad, 0, 0] = len(table) + 1      # an id past its class table
+    labeled = np.count_nonzero(ds.targets.labels[:, 0] == bad)
+    ds.targets.ids[bad, 0, 0] = labeled + 1      # an id past its class table
     save_dataset(path, ds)
     assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 3
     err = capsys.readouterr().err

@@ -4,8 +4,12 @@ import pytest
 from mtlab.metrics import panoptic_quality
 from mtlab.tasks import (
     CLASSIFICATION_ARITIES,
+    DATASET_MAGIC,
+    DATASET_VERSION,
     KIND_BINARY_SEG,
     KIND_INSTANCE_SEG,
+    MASK_MAGIC,
+    MASK_VERSION,
     TaskSpec,
     default_suite,
     gen_classification_task,
@@ -18,6 +22,7 @@ from mtlab.tasks import (
 )
 from mtlab.tensorio import (
     BadMagicError,
+    BlockWriter,
     ChecksumError,
     FileFormatError,
     TruncatedFileError,
@@ -90,14 +95,14 @@ def test_splits_disjoint():
 def test_segmentation_mask_is_its_own_perfect_prediction():
     ds = gen_segmentation_task(KIND_INSTANCE_SEG, 16, 3, 3, 8, 4, seed=7)
     for i in range(12):
-        gt = ds.gt_mask(i)
-        assert panoptic_quality(gt, gt, class_aware=True).pq == 1.0
+        gt = ds.gt_masks([i])
+        assert panoptic_quality(gt, gt, class_aware=True).pq[0] == 1.0
 
 
 def test_segmentation_single_instance_cap():
     ds = gen_segmentation_task(KIND_BINARY_SEG, 16, 1, 1, 16, 4, seed=8)
     for i in range(20):
-        n = len(ds.gt_mask(i).instance_ids())
+        n = len(set(np.unique(ds.gt_masks([i]).ids).tolist()) - {0})
         assert n <= 1
 
 
@@ -105,7 +110,7 @@ def test_segmentation_instances_disjoint_and_separated():
     # instance ids are one per pixel by construction; additionally no two
     # distinct nonzero ids may touch, even diagonally, across 1000 images
     ds = gen_segmentation_task(KIND_INSTANCE_SEG, 32, 3, 3, 800, 200, seed=11)
-    maps = ds.targets.id_maps
+    maps = ds.targets.ids
 
     def no_distinct_neighbors(a, b):
         clash = (a > 0) & (b > 0) & (a != b)
@@ -250,7 +255,7 @@ def _saved_instance_task(tmp_path, corrupt):
 
 def test_instance_class_past_num_classes_is_a_named_format_error(tmp_path):
     def corrupt(targets, i):
-        targets.class_tables[i][0] = 4  # the task has 3 classes
+        targets.labels[np.flatnonzero(targets.labels[:, 0] == i)[0], 2] = 4  # 3 classes
     path, example = _saved_instance_task(tmp_path, corrupt)
     with pytest.raises(FileFormatError, match=f"example {example}: class table") as exc:
         load_dataset(path)
@@ -260,21 +265,104 @@ def test_instance_class_past_num_classes_is_a_named_format_error(tmp_path):
 @pytest.mark.parametrize("past_table", [True, False], ids=["past-table", "negative"])
 def test_instance_id_outside_its_class_table_is_a_named_format_error(tmp_path, past_table):
     def corrupt(targets, i):
-        targets.id_maps[i, 0, 0] = len(targets.class_tables[i]) + 1 if past_table else -1
+        labeled = np.count_nonzero(targets.labels[:, 0] == i)
+        targets.ids[i, 0, 0] = labeled + 1 if past_table else -1
     path, example = _saved_instance_task(tmp_path, corrupt)
     with pytest.raises(FileFormatError, match=f"example {example}: id map") as exc:
         load_dataset(path)
     assert str(path) in str(exc.value)
 
 
+def test_instance_dataset_bytes_survive_save_load_save(tmp_path):
+    first, second = tmp_path / "a.mtld", tmp_path / "b.mtld"
+    save_dataset(first, gen_segmentation_task(KIND_INSTANCE_SEG, 16, 4, 3, 9, 5, seed=37))
+    save_dataset(second, load_dataset(first))
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_instance_batch_targets_equal_per_example_class_tables():
+    ds = gen_segmentation_task(KIND_INSTANCE_SEG, 16, 4, 3, 9, 5, seed=38)
+    labels = ds.targets.labels
+    idx = np.array([3, 0, 3, 13, 7, 7, 7, 1])
+
+    def reference(i):   # example i's table with a leading 0 for its background
+        lut = np.concatenate([[0], labels[labels[:, 0] == i, 2]]).astype(np.int32)
+        return lut[ds.targets.ids[i]]
+
+    got = ds.batch_targets(idx)
+    expected = np.stack([reference(i) for i in idx])
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def _write_classification(path, n, split, inputs, labels, input_shape):
+    """A classification .mtld whose header and arrays are given one by one."""
+    w = BlockWriter(DATASET_MAGIC, DATASET_VERSION)
+    w.u16(0)
+    w.string("rows")
+    w.u8(0)                       # classification
+    w.u16(2)
+    w.u8(len(input_shape))
+    for d in input_shape:
+        w.u32(d)
+    w.u64(1)
+    w.u32(n)
+    for arr in (split, inputs, labels):
+        w.tensor(arr)
+    w.save(path)
+
+
+@pytest.mark.parametrize("what", ["split", "inputs", "targets", "input-shape"])
+def test_dataset_rows_and_input_shape_must_match_the_header(tmp_path, what):
+    ds = gen_classification_task(2, (1, 4, 4), 12, 4, 0.2, seed=39)
+    arrays = {"split": ds.split, "inputs": ds.inputs, "targets": ds.targets}
+    shape = (1, 4, 4)
+    if what == "input-shape":
+        shape, message = (1, 4, 5), "input shape"
+    else:
+        arrays[what] = arrays[what][:5]
+        message = f"16 examples but {what} has shape \\(5,"
+    path = tmp_path / "task.mtld"
+    _write_classification(path, 16, arrays["split"], arrays["inputs"], arrays["targets"], shape)
+    with pytest.raises(FileFormatError, match=message) as exc:
+        load_dataset(path)
+    assert str(path) in str(exc.value)
+
+
+def _write_mask(path, ids, pairs):
+    w = BlockWriter(MASK_MAGIC, MASK_VERSION)
+    w.tensor(np.asarray(ids, dtype=np.int32))
+    w.tensor(np.asarray(pairs, dtype=np.int32))
+    w.save(path)
+
+
+_ID_MAP = np.array([[0, 1], [2, 2]])
+
+
+@pytest.mark.parametrize("ids, pairs, message", [
+    (_ID_MAP[None], [[1, 1], [2, 1]], "must be 2-D"),
+    (_ID_MAP, [[1, 1, 1], [2, 1, 1]], "shape \\(m, 2\\)"),
+    (_ID_MAP, [[1, 1], [1, 2], [2, 1]], "more than one label for ids: \\[1\\]"),
+    (_ID_MAP, [[0, 1], [1, 1], [2, 1]], "ids below 1: \\[0\\]"),
+    (_ID_MAP * np.array([[1, -1], [1, 1]]), [[2, 1]], "negative ids"),
+    (_ID_MAP, [[1, 1]], "without class labels: \\[2\\]"),
+], ids=["three-d-map", "pairs-shape", "duplicate-id", "non-positive-id", "negative-map-id",
+        "unlabeled-id"])
+def test_bad_mask_file_is_a_format_error_naming_the_file(tmp_path, ids, pairs, message):
+    path = tmp_path / "m.mtlm"
+    _write_mask(path, ids, pairs)
+    with pytest.raises(FileFormatError, match=message) as exc:
+        load_mask(path)
+    assert str(path) in str(exc.value)
+
+
 def test_mask_round_trip(tmp_path):
     ds = gen_segmentation_task(KIND_INSTANCE_SEG, 16, 3, 3, 4, 2, seed=36)
-    mask = ds.gt_mask(0)
+    mask = ds.gt_masks([0])
     path = tmp_path / "m.mtlm"
     save_mask(path, mask)
     loaded = load_mask(path)
     np.testing.assert_array_equal(loaded.ids, mask.ids)
-    assert loaded.classes == mask.classes
+    np.testing.assert_array_equal(loaded.labels, mask.labels)
 
 
 # ---------------------------------------------------------------------------
