@@ -27,9 +27,9 @@ from .tasks import (KIND_BINARY_SEG, KIND_CLASSIFICATION, TaskDataset, _task_see
                     default_suite, gen_classification_task, gen_segmentation_task,
                     load_dataset, load_mask, save_dataset)
 from .tensorio import FileFormatError
-from .trainer import (SamplerConfig, TrainConfig, apply_checkpoint, build_decoders,
-                      init_adam_states, load_checkpoint, load_trace, save_checkpoint,
-                      save_trace, train)
+from .trainer import (Checkpoint, RunRecord, SamplerConfig, TrainConfig, apply_checkpoint,
+                      build_decoders, init_adam_states, load_checkpoint, load_trace,
+                      new_log, save_checkpoint, save_trace, train)
 
 
 class DataError(RuntimeError):
@@ -189,41 +189,66 @@ def cmd_generate(cfg: ExperimentConfig, timestamp: bool) -> int:
     return EXIT_OK
 
 
+def _newest_slot(record: RunRecord) -> tuple[int, Checkpoint]:
+    """The slot holding the latest iteration among those that read cleanly."""
+    found = []
+    for i, path in enumerate(record.slots):
+        if not path.exists():
+            continue
+        try:
+            ck = load_checkpoint(path)
+        except FileFormatError as exc:  # torn by a save that did not finish
+            print(f"skipping checkpoint slot: {exc}", file=sys.stderr)
+            continue
+        found.append((ck.t, i, ck))
+    if not found:
+        raise DataError(f"cannot resume: no checkpoint slot in {record.slots[0].parent} "
+                        f"reads cleanly ({', '.join(p.name for p in record.slots)})")
+    _, i, ck = max(found)
+    return i, ck
+
+
 def cmd_train(cfg: ExperimentConfig, timestamp: bool, resume: bool) -> int:
     tasks = _load_manifest_tasks(cfg)
     sampler = _sampler(cfg, len(tasks))
     store, encoder, decoders, states = _build_models(cfg, tasks)
-
-    start_t = 0
-    latest = cfg.out_dir / "checkpoint_latest.mtlc"
-    if resume:
-        if not latest.exists():
-            raise DataError(f"cannot resume: {latest} does not exist")
-        ck = load_checkpoint(latest)
-        if ck.seed != cfg.seed:
-            raise DataError(f"checkpoint seed {ck.seed} does not match config "
-                            f"seed {cfg.seed}")
-        if ck.t > cfg.iterations:
-            raise ConfigError(f"cannot resume: {latest} is at iteration {ck.t}, past "
-                              f"the configured iterations {cfg.iterations}")
-        apply_checkpoint(ck, store, states)
-        start_t = ck.t
-
     tcfg = TrainConfig(iterations=cfg.iterations, batch_size=cfg.batch_size,
                        seed=cfg.seed, checkpoint_every=cfg.checkpoint_every,
                        diagnostics=cfg.diagnostics)
-    log = train(tasks, encoder, decoders, store, states, sampler, tcfg,
-                start_t=start_t, checkpoint_path=latest)
+    log = new_log(tcfg, len(tasks), store.total_size(encoder.group))
+    record = RunRecord(cfg.out_dir, cfg.log_every)
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [(r.t, r.task, _fmt(r.loss)) for r in log.records
-            if r.t % cfg.log_every == 0]
-    _csv_writer(cfg.out_dir / "train_log.csv", ["t", "task_id", "loss"], rows, timestamp)
-    save_checkpoint(cfg.out_dir / "checkpoint_final.mtlc", store, states,
-                    cfg.seed, cfg.iterations)
+    start_t = 0
+    if resume:
+        slot, ck = _newest_slot(record)
+        path = record.slots[slot]
+        if ck.seed != cfg.seed:
+            raise DataError(f"cannot resume: {path} has seed {ck.seed}, the config "
+                            f"seed {cfg.seed}")
+        if ck.t > cfg.iterations:
+            raise ConfigError(f"cannot resume: {path} is at iteration {ck.t}, past "
+                              f"the configured iterations {cfg.iterations}")
+        try:
+            apply_checkpoint(ck, store, states)
+        except ValueError as exc:
+            raise DataError(f"cannot resume: {path} does not match the configured "
+                            f"models: {exc}") from None
+        record.resume(slot, ck.t, log.trace)
+        start_t = ck.t
+    else:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        record.clear()
+        _csv_writer(record.log_path, ["t", "task_id", "loss"], [], timestamp)
+
+    log = train(tasks, encoder, decoders, store, states, sampler, tcfg,
+                start_t=start_t, log=log, record=record)
+
+    record.append_log(log)
+    save_checkpoint(record.final_path, store, states, cfg.seed, cfg.iterations)
     if log.trace is not None:
-        save_trace(cfg.out_dir / "grad_trace.mtlg", log.trace)
-    with open(cfg.out_dir / "config_used.json", "w") as fh:
+        save_trace(record.trace_path, log.trace)
+    record.finish()
+    with open(record.config_path, "w") as fh:
         json.dump(cfg.raw, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"trained {len(log.records)} iterations; outputs in {cfg.out_dir}")
@@ -240,7 +265,8 @@ def cmd_eval(cfg: ExperimentConfig, timestamp: bool, checkpoint: Path | None) ->
     try:
         apply_checkpoint(ck, store, states)
     except ValueError as exc:
-        raise DataError(f"checkpoint does not match the configured models: {exc}")
+        raise DataError(f"checkpoint {ck_path} does not match the configured "
+                        f"models: {exc}") from None
 
     rows = []
     for ds, dec in zip(tasks, decoders):
@@ -376,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(sp)
         if name == "train":
             sp.add_argument("--resume", action="store_true",
-                            help="continue from checkpoint_latest.mtlc")
+                            help="continue from the newest checkpoint slot")
         if name == "eval":
             sp.add_argument("--checkpoint", type=Path, default=None)
         if name == "diagnose":

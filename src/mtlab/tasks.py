@@ -70,6 +70,12 @@ class TaskDataset:
 
     def _validate_targets(self):
         k = self.spec.num_classes
+        if self.spec.kind != KIND_CLASSIFICATION:
+            maps = self.targets if self.spec.kind == KIND_BINARY_SEG else self.targets.ids
+            size = self.spec.input_shape[-2:]
+            if maps.shape[1:] != size:
+                raise ValueError(f"examples 0..{len(maps) - 1}: target maps have shape "
+                                 f"{maps.shape[1:]}, not the inputs' height and width {size}")
         if self.spec.kind == KIND_CLASSIFICATION:
             if self.targets.size and (self.targets.min() < 0 or self.targets.max() >= k):
                 raise ValueError(f"label out of range for {k} classes")

@@ -3,7 +3,8 @@
 Layout of every file: 4-byte magic, version u16, a sequence of fields
 (integers little-endian, strings u16-length-prefixed UTF-8, tensors as
 dtype u8 / ndim u8 / dims u32 / row-major payload), then a trailing CRC32
-of all preceding bytes.
+of all preceding bytes. A journal file is a sequence of frames, each a u32
+length and then one such container.
 """
 
 from __future__ import annotations
@@ -96,10 +97,24 @@ class BlockWriter:
         body = b"".join(self._parts)
         return body + struct.pack("<I", zlib.crc32(body))
 
-    def save(self, path) -> None:
+    def save(self, path, in_place: bool = False) -> None:
         """Write `<path>.tmp` beside `path`, then rename it over `path`, so a
-        failed write leaves any previous file whole and no temp file behind."""
+        failed write leaves any previous file whole and no temp file behind.
+
+        With `in_place`, overwrite `path` itself instead: open it without
+        truncating, write, and cut it only if it was longer. Neither renaming
+        over a file nor truncating it to zero happens, so ext4 does not flush
+        the new data on close (its `auto_da_alloc` heuristic); the caller
+        must keep another copy, since a failed write leaves `path` torn.
+        """
         data = self.to_bytes()
+        if in_place:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+                if os.fstat(fd).st_size > len(data):
+                    fh.truncate(len(data))
+            return
         tmp = f"{path}.tmp"
         try:
             with open(tmp, "wb") as fh:
@@ -192,6 +207,39 @@ class BlockReader:
         if stored != actual:
             raise ChecksumError(f"{self.source}: CRC32 mismatch: stored {stored:#010x}, "
                                 f"computed {actual:#010x}")
+
+
+def append_frame(path, w: BlockWriter) -> None:
+    """Append `w`'s bytes to `path` as one frame: a u32 length, then the bytes."""
+    data = w.to_bytes()
+    with open(path, "ab") as fh:
+        fh.write(struct.pack("<I", len(data)))
+        fh.write(data)
+
+
+def read_frames(path, magic: bytes, version: int) -> list[tuple[BlockReader, int]]:
+    """The frames of `path` in order, each with the file offset where it ends.
+
+    Reading stops at the first frame that is cut off or fails its magic,
+    version or CRC: that is the tail of an append that did not finish.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    frames, pos = [], 0
+    while pos + 4 <= len(data):
+        (n,) = struct.unpack_from("<I", data, pos)
+        end = pos + 4 + n
+        if end > len(data) or n < 10:
+            break
+        body = data[pos + 4:end]
+        if struct.unpack_from("<I", body, n - 4)[0] != zlib.crc32(body[:-4]):
+            break
+        try:
+            frames.append((BlockReader(body, magic, version, str(path)), end))
+        except FileFormatError:
+            break
+        pos = end
+    return frames
 
 
 def read_file(path, magic: bytes, version: int) -> BlockReader:

@@ -9,7 +9,10 @@ are reproducible and checkpoint-resume continues bit-exactly.
 
 from __future__ import annotations
 
+import csv
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -20,12 +23,22 @@ from .model import (EncoderModel, ParamStore, build_classification_decoder,
                     build_segmentation_decoder, forward_task_logits)
 from .optim import AdamState, adam_init, adam_step
 from .tasks import KIND_CLASSIFICATION, KIND_INSTANCE_SEG, TaskDataset, sample_batch
-from .tensorio import BlockWriter, read_file
+from .tensorio import BlockWriter, FileFormatError, append_frame, read_file, read_frames
 
 CHECKPOINT_MAGIC = b"MTLC"
 CHECKPOINT_VERSION = 1
 TRACE_MAGIC = b"MTLG"
 TRACE_VERSION = 1
+JOURNAL_MAGIC = b"MTLJ"
+JOURNAL_VERSION = 1
+
+# a run's files in its output directory
+LOG_FILE = "train_log.csv"
+SLOT_FILES = ("checkpoint_slot0.mtlc", "checkpoint_slot1.mtlc")
+JOURNAL_FILE = "grad_trace.journal"
+TRACE_FILE = "grad_trace.mtlg"
+FINAL_CHECKPOINT_FILE = "checkpoint_final.mtlc"
+CONFIG_FILE = "config_used.json"
 
 _ITER_STREAM = 100  # spawn-key tag for per-iteration RNG streams
 
@@ -92,6 +105,14 @@ class TrainRecord:
 class TrainLog:
     records: list[TrainRecord] = field(default_factory=list)
     trace: GradTrace | None = None
+
+
+def new_log(config: TrainConfig, num_tasks: int, encoder_size: int) -> TrainLog:
+    """An empty log, with a trace of the encoder gradients unless diagnostics are off."""
+    if config.diagnostics == "off":
+        return TrainLog()
+    return TrainLog(trace=GradTrace(num_tasks=num_tasks, dim=encoder_size,
+                                    mode=config.diagnostics, sketch_seed=config.seed))
 
 
 def sample_task(sampler: SamplerConfig, rng) -> int:
@@ -189,23 +210,21 @@ def train_step(encoder: EncoderModel, decoders: list, store: ParamStore,
 def train(tasks: list[TaskDataset], encoder: EncoderModel, decoders: list,
           store: ParamStore, adam_states: dict[str, AdamState],
           sampler: SamplerConfig, config: TrainConfig, start_t: int = 0,
-          checkpoint_path=None, log: TrainLog | None = None) -> TrainLog:
+          log: TrainLog | None = None, record: "RunRecord | None" = None) -> TrainLog:
     """Run iterations start_t+1 .. iterations of the sampled-task loop.
 
     Fully deterministic given (seed, config, datasets): the task sequence,
     batches, and final parameters are reproducible, and resuming from a
-    checkpoint at any t matches the uninterrupted run bit-exactly.
+    checkpoint at any t matches the uninterrupted run bit-exactly. With a
+    `record`, every `checkpoint_every` iterations the run is journaled and
+    checkpointed there.
     """
     k = len(tasks)
     if not (k == len(decoders) == sampler.k):
         raise ValueError(
             f"task/decoder/alpha counts differ: {k}/{len(decoders)}/{sampler.k}")
     if log is None:
-        log = TrainLog()
-        if config.diagnostics != "off":
-            dim = store.total_size(encoder.group)
-            log.trace = GradTrace(num_tasks=k, dim=dim, mode=config.diagnostics,
-                                  sketch_seed=config.seed)
+        log = new_log(config, k, store.total_size(encoder.group))
 
     for t in range(start_t + 1, config.iterations + 1):
         try:
@@ -218,9 +237,9 @@ def train(tasks: list[TaskDataset], encoder: EncoderModel, decoders: list,
         log.records.append(TrainRecord(t, i, loss))
         if log.trace is not None:
             log.trace.append(t, i, flatten_group_grads(store, encoder.group, enc_grads))
-        if (checkpoint_path and config.checkpoint_every
-                and t % config.checkpoint_every == 0):
-            save_checkpoint(checkpoint_path, store, adam_states, config.seed, t)
+        if record is not None and config.checkpoint_every \
+                and t % config.checkpoint_every == 0:
+            record.checkpoint(log, store, adam_states, config.seed, t)
     return log
 
 
@@ -235,10 +254,11 @@ class Checkpoint:
 
 
 def save_checkpoint(path, store: ParamStore, adam_states: dict[str, AdamState],
-                    seed: int, t: int) -> None:
+                    seed: int, t: int, in_place: bool = False) -> None:
     """Everything needed to resume: parameters, Adam moments and counters,
     and the RNG state, which under per-iteration derived streams is just
-    (seed, t)."""
+    (seed, t). `in_place` overwrites `path` rather than renaming a new file
+    over it (see `BlockWriter.save`)."""
     w = BlockWriter(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     w.u64(seed)
     w.u64(t)
@@ -259,7 +279,7 @@ def save_checkpoint(path, store: ParamStore, adam_states: dict[str, AdamState],
             w.tensor(store.get(pid).data)
             w.tensor(st.m[pid])
             w.tensor(st.v[pid])
-    w.save(path)
+    w.save(path, in_place=in_place)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -306,6 +326,22 @@ def apply_checkpoint(ck: Checkpoint, store: ParamStore,
 # ---------------------------------------------------------------------------
 # gradient-trace persistence (exact or sketch vectors for cmd_diagnose)
 
+def _write_entries(w: BlockWriter, entries: list, stored_dim: int) -> None:
+    w.tensor(np.array([e[0] for e in entries], dtype=np.int32))
+    w.tensor(np.array([e[1] for e in entries], dtype=np.int32))
+    w.tensor(np.stack([e[2] for e in entries]) if entries else np.zeros((0, stored_dim)))
+
+
+def _read_entries(r, n: int | None = None) -> list:
+    """(t, task, vector) rows from the t, task and vector tensors `_write_entries` wrote."""
+    ts, tasks, vecs = r.tensor(), r.tensor(), r.tensor()
+    r.finish()
+    if n is not None and not len(ts) == len(tasks) == len(vecs) == n:
+        raise FileFormatError(f"{r.source}: {n} entries, but tensors of {len(ts)}, "
+                              f"{len(tasks)} and {len(vecs)} rows")
+    return [(int(ts[i]), int(tasks[i]), vecs[i]) for i in range(len(ts))]
+
+
 def save_trace(path, trace: GradTrace) -> None:
     w = BlockWriter(TRACE_MAGIC, TRACE_VERSION)
     w.u16(trace.num_tasks)
@@ -314,29 +350,141 @@ def save_trace(path, trace: GradTrace) -> None:
     w.u32(trace.sketch_dim)
     w.u64(trace.sketch_seed)
     w.u32(len(trace.entries))
-    ts = np.array([e[0] for e in trace.entries], dtype=np.int32)
-    tasks = np.array([e[1] for e in trace.entries], dtype=np.int32)
-    w.tensor(ts)
-    w.tensor(tasks)
-    vecs = np.stack([e[2] for e in trace.entries]) if trace.entries else \
-        np.zeros((0, trace.stored_dim))
-    w.tensor(vecs)
+    _write_entries(w, trace.entries, trace.stored_dim)
     w.save(path)
 
 
 def load_trace(path) -> GradTrace:
     r = read_file(path, TRACE_MAGIC, TRACE_VERSION)
-    num_tasks = r.u16()
-    dim = r.u32()
-    mode = r.string()
-    sketch_dim = r.u32()
-    sketch_seed = r.u64()
-    n = r.u32()
-    ts = r.tensor()
-    tasks = r.tensor()
-    vecs = r.tensor()
-    r.finish()
-    trace = GradTrace(num_tasks=num_tasks, dim=dim, mode=mode,
-                      sketch_dim=sketch_dim, sketch_seed=sketch_seed)
-    trace.entries = [(int(ts[i]), int(tasks[i]), vecs[i]) for i in range(n)]
+    trace = GradTrace(num_tasks=r.u16(), dim=r.u32(), mode=r.string(),
+                      sketch_dim=r.u32(), sketch_seed=r.u64())
+    trace.entries = _read_entries(r, r.u32())
     return trace
+
+
+# ---------------------------------------------------------------------------
+# the run record: checkpoint slots and journals in the output directory
+
+class RunRecord:
+    """A run's resume point and record, kept in its output directory as it goes.
+
+    Periodic checkpoints alternate between two slot files, each overwritten
+    in place (`BlockWriter.save(in_place=True)`): a slot is never renamed
+    over or truncated to zero, which on ext4 would flush it to disk on every
+    save, and a save that fails can tear only the slot being written. Before
+    each save, the records since the previous one are appended to
+    train_log.csv, which is its own journal, and the trace rows to the trace
+    journal as one length-prefixed, CRC-checked frame. `resume` cuts both
+    back to the slot's t; `finish` deletes the journal and the older slot
+    once the run's final files are written.
+    """
+
+    def __init__(self, out_dir, log_every: int):
+        out_dir = Path(out_dir)
+        self.log_every = log_every
+        self.log_path = out_dir / LOG_FILE
+        self.slots = [out_dir / name for name in SLOT_FILES]
+        self.journal = out_dir / JOURNAL_FILE
+        self.trace_path = out_dir / TRACE_FILE
+        self.final_path = out_dir / FINAL_CHECKPOINT_FILE
+        self.config_path = out_dir / CONFIG_FILE
+        self._next = 0        # the slot saved to next, the older one
+        self._logged = 0      # log.records already in train_log.csv
+        self._journaled = 0   # log.trace entries already in the journal
+
+    def clear(self) -> None:
+        """Delete what an earlier run left here, so that nothing resumes from it."""
+        for path in (*self.slots, self.journal, self.log_path, self.trace_path,
+                     self.final_path, self.config_path):
+            path.unlink(missing_ok=True)
+
+    def append_log(self, log: TrainLog) -> None:
+        """Append the logged records not yet in train_log.csv."""
+        rows = [(r.t, r.task, repr(float(r.loss))) for r in log.records[self._logged:]
+                if r.t % self.log_every == 0]
+        with open(self.log_path, "a", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        self._logged = len(log.records)
+
+    def checkpoint(self, log: TrainLog, store: ParamStore,
+                   adam_states: dict[str, AdamState], seed: int, t: int) -> None:
+        """Journal the run up to t, then save it to the older slot."""
+        self.append_log(log)
+        if log.trace is not None and len(log.trace.entries) > self._journaled:
+            self._append_trace(log.trace, self._journaled)
+            self._journaled = len(log.trace.entries)
+        save_checkpoint(self.slots[self._next], store, adam_states, seed, t, in_place=True)
+        self._next = 1 - self._next
+
+    def _append_trace(self, trace: GradTrace, start: int, path=None) -> None:
+        """Append trace entries `start:` to the journal as one frame."""
+        w = BlockWriter(JOURNAL_MAGIC, JOURNAL_VERSION)
+        _write_entries(w, trace.entries[start:], trace.stored_dim)
+        append_frame(path or self.journal, w)
+
+    def finish(self) -> None:
+        """Delete the trace journal and the older slot; call once the final
+        checkpoint, trace and log are written."""
+        self.journal.unlink(missing_ok=True)
+        self.slots[self._next].unlink(missing_ok=True)
+
+    def resume(self, slot: int, t: int, trace: GradTrace | None) -> None:
+        """Continue the record of the run in `slots[slot]`, which is at iteration t.
+
+        train_log.csv is cut after its last row with an iteration <= t. The
+        trace rows 1..t go into `trace`: from the journal's frames up to t,
+        which are all the journal keeps, or, when there is no journal, from
+        a finished run's trace file, which then seeds a new journal. Every
+        file is checked before any is cut: one that does not reach t is a
+        FileFormatError naming it.
+        """
+        log_end = self._log_end(t)
+        if trace is not None:
+            if self.journal.exists():
+                frames = [(_read_entries(r), end) for r, end in
+                          read_frames(self.journal, JOURNAL_MAGIC, JOURNAL_VERSION)]
+                frames = [(f, end) for f, end in frames if all(e[0] <= t for e in f)]
+                source, journal_end = self.journal, frames[-1][1] if frames else 0
+                rows = [e for f, _ in frames for e in f]
+            else:
+                source, journal_end = self.trace_path, None
+                rows = [e for e in load_trace(source).entries if e[0] <= t]
+            if len(rows) != t or any(len(e[2]) != trace.stored_dim for e in rows):
+                raise FileFormatError(
+                    f"{source}: cannot resume from iteration {t}: it holds {len(rows)} "
+                    f"trace rows up to it, not {t} rows of {trace.stored_dim} values")
+            trace.entries = rows
+
+        if log_end < os.path.getsize(self.log_path):
+            os.truncate(self.log_path, log_end)
+        if trace is not None and journal_end is None:
+            # a journal seeded from the trace file appears whole or not at all
+            tmp = self.journal.with_name(self.journal.name + ".tmp")
+            tmp.unlink(missing_ok=True)
+            self._append_trace(trace, 0, tmp)
+            os.replace(tmp, self.journal)
+        elif trace is not None and journal_end < os.path.getsize(self.journal):
+            os.truncate(self.journal, journal_end)
+        self._next = 1 - slot
+        self._journaled = t
+
+    def _log_end(self, t: int) -> int:
+        """Offset in train_log.csv just past its last row with an iteration <= t."""
+        data = self.log_path.read_bytes()
+        end, header, rows = 0, False, 0
+        for line in data.splitlines(keepends=True):
+            fields = line.rstrip(b"\r\n").split(b",")
+            if fields == [b"t", b"task_id", b"loss"]:
+                header = True
+            elif header and line.endswith(b"\n") and len(fields) == 3 \
+                    and fields[0].isdigit() and int(fields[0]) <= t:
+                rows += 1
+            elif not line.startswith(b"#"):
+                break  # past t, or the tail of an append that did not finish
+            end += len(line)
+        if not header or rows != t // self.log_every:
+            raise FileFormatError(
+                f"{self.log_path}: cannot resume from iteration {t}: it holds {rows} "
+                f"rows up to it, but a log of every {self.log_every} iterations has "
+                f"{t // self.log_every}")
+        return end

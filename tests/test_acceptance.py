@@ -285,12 +285,13 @@ def test_criterion_9_resumability(tmp_path):
         "iterations": 200,
         "batch_size": 4,
         "checkpoint_every": 100,
-        "diagnostics": "off",
+        "diagnostics": "exact",
     }
     cfg_path.write_text(json.dumps(base))
     assert main(["generate", "--config", str(cfg_path), "--no-timestamp"]) == 0
     assert main(["train", "--config", str(cfg_path), "--no-timestamp"]) == 0
-    straight = (out / "checkpoint_final.mtlc").read_bytes()
+    record = ("checkpoint_final.mtlc", "train_log.csv", "grad_trace.mtlg")
+    straight = [(out / name).read_bytes() for name in record]
     shutil.rmtree(out / "data")  # regenerate to prove no hidden state carries over
     assert main(["generate", "--config", str(cfg_path), "--no-timestamp"]) == 0
 
@@ -301,6 +302,8 @@ def test_criterion_9_resumability(tmp_path):
     base["iterations"] = 200
     cfg_path.write_text(json.dumps(base))
     assert main(["train", "--config", str(cfg_path), "--no-timestamp", "--resume"]) == 0
-    resumed = (out / "checkpoint_final.mtlc").read_bytes()
-    assert resumed == straight, "resumed run diverged from the uninterrupted run"
-    _report(9, "checkpoint at T/2 resumes to bit-identical final parameters")
+    for name, before in zip(record, straight):
+        assert (out / name).read_bytes() == before, \
+            f"resumed run's {name} differs from the uninterrupted run's"
+    _report(9, "checkpoint at T/2 resumes to bit-identical final parameters, "
+               "log and gradient trace")

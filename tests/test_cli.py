@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mtlab import cli
+from mtlab import cli, trainer
 from mtlab.autodiff import Tensor
 from mtlab.cli import main
 from mtlab.config import parse_encoder_spec
@@ -207,7 +207,7 @@ def test_resume_from_checkpoint_past_iterations_is_config_error(tmp_path, capsys
     cfg.write_text(json.dumps(shorter))
     assert main(["train", "--config", str(cfg), "--no-timestamp", "--resume"]) == 2
     err = capsys.readouterr().err
-    assert "checkpoint_latest.mtlc" in err and "40" in err and "20" in err
+    assert "checkpoint_slot1.mtlc" in err and "40" in err and "20" in err
     assert (out / "checkpoint_final.mtlc").read_bytes() == final
 
 
@@ -288,7 +288,7 @@ def test_eval_untrained_checkpoint_is_chance_level(tmp_path):
     assert abs(float(cls["value"]) - 0.25) <= 0.1  # K=4 chance level
 
 
-def test_eval_checkpoint_model_mismatch_is_data_error(tmp_path):
+def test_eval_checkpoint_model_mismatch_is_data_error(tmp_path, capsys):
     cfg, out = _small_config(tmp_path)
     assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
     assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
@@ -297,13 +297,46 @@ def test_eval_checkpoint_model_mismatch_is_data_error(tmp_path):
     payload["encoder"][0]["filters"] = 12
     cfg.write_text(json.dumps(payload))
     assert main(["eval", "--config", str(cfg), "--no-timestamp"]) == 3
+    assert "checkpoint_final.mtlc" in capsys.readouterr().err
+
+
+RUN_RECORD = ("train_log.csv", "checkpoint_final.mtlc", "grad_trace.mtlg")
+
+
+def _record(out):
+    return {name: (out / name).read_bytes() for name in RUN_RECORD}
+
+
+def _crash_at(monkeypatch, iteration):
+    """Make training raise at `iteration` of the next run, as a crash would."""
+    step, calls = trainer.train_step, []
+
+    def crashing(*args):
+        calls.append(None)
+        if len(calls) == iteration:
+            raise RuntimeError("simulated crash")
+        return step(*args)
+
+    monkeypatch.setattr(trainer, "train_step", crashing)
+
+
+def _crashed_run(tmp_path, monkeypatch, crash_at=25, **overrides):
+    """A straight run's record and file names, then the same run crashed at `crash_at`."""
+    cfg, out = _small_config(tmp_path, **overrides)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    straight, names = _record(out), sorted(p.name for p in out.iterdir())
+    with monkeypatch.context() as m:
+        _crash_at(m, crash_at)
+        assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 4
+    return cfg, out, straight, names
 
 
 def test_train_resume_matches_straight_run(tmp_path):
     cfg, out = _small_config(tmp_path, iterations=40, checkpoint_every=20)
     assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
     assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
-    straight = (out / "checkpoint_final.mtlc").read_bytes()
+    straight = _record(out)
 
     half = json.loads(cfg.read_text())
     half["iterations"] = 20
@@ -314,7 +347,96 @@ def test_train_resume_matches_straight_run(tmp_path):
     full["iterations"] = 40
     cfg.write_text(json.dumps(full))
     assert main(["train", "--config", str(cfg), "--no-timestamp", "--resume"]) == 0
-    assert (out / "checkpoint_final.mtlc").read_bytes() == straight
+    assert _record(out) == straight
+
+
+def test_resume_after_a_crash_ends_with_the_straight_runs_files(tmp_path, monkeypatch):
+    cfg, out, straight, names = _crashed_run(tmp_path, monkeypatch, iterations=40,
+                                             checkpoint_every=10)
+    assert not (out / "checkpoint_final.mtlc").exists()
+    assert (out / "grad_trace.journal").exists()
+    assert main(["train", "--config", str(cfg), "--no-timestamp", "--resume"]) == 0
+    assert _record(out) == straight
+    # the journal and the older slot are gone, as after the straight run
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert "grad_trace.journal" not in names and "checkpoint_slot1.mtlc" in names
+
+
+@pytest.mark.parametrize("damage", ["garbled-slot", "torn-slot", "torn-journal-tails"])
+def test_resume_past_a_torn_write_ends_with_the_straight_runs_files(tmp_path, monkeypatch,
+                                                                    capsys, damage):
+    cfg, out, straight, _ = _crashed_run(tmp_path, monkeypatch, iterations=40,
+                                         checkpoint_every=10)
+    # the crash at 25 came after saves at 10 (slot 0) and 20 (slot 1)
+    newest = out / "checkpoint_slot1.mtlc"
+    raw = bytearray(newest.read_bytes())
+    if damage == "garbled-slot":  # an overwrite in place that stopped midway
+        raw[len(raw) // 2] ^= 0xFF
+        newest.write_bytes(bytes(raw))
+    elif damage == "torn-slot":   # a first write to the slot that stopped midway
+        newest.write_bytes(bytes(raw[:len(raw) // 2]))
+    else:                         # journal appends that stopped midway
+        with open(out / "train_log.csv", "ab") as fh:
+            fh.write(b"21,1,0.5")
+        with open(out / "grad_trace.journal", "ab") as fh:
+            fh.write(b"\x40\x00\x00\x00MTLJ")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--no-timestamp", "--resume"]) == 0
+    skipped = "skipping checkpoint slot" in capsys.readouterr().err
+    assert skipped == damage.endswith("slot")
+    assert _record(out) == straight
+
+
+def test_resume_past_the_log_is_a_data_error_naming_it(tmp_path, monkeypatch, capsys):
+    cfg, out, _, _ = _crashed_run(tmp_path, monkeypatch, iterations=40, checkpoint_every=10)
+    log = out / "train_log.csv"
+    lines = log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(b"".join(lines[:15]))  # the header and iterations 1..14
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--no-timestamp", "--resume"]) == 3
+    err = capsys.readouterr().err
+    assert "train_log.csv" in err and "iteration 20" in err
+    assert log.read_bytes() == b"".join(lines[:15])
+
+
+def test_fresh_run_clears_the_previous_runs_resume_point(tmp_path, monkeypatch, capsys):
+    cfg, out, _, _ = _crashed_run(tmp_path, monkeypatch, crash_at=5, iterations=40,
+                                  checkpoint_every=20)
+    # the crash came before the first save: nothing of the earlier run is left
+    for name in ("checkpoint_slot0.mtlc", "checkpoint_slot1.mtlc", "grad_trace.journal",
+                 "checkpoint_final.mtlc", "grad_trace.mtlg", "config_used.json"):
+        assert not (out / name).exists(), name
+    assert _rows(out / "train_log.csv") == []
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--no-timestamp", "--resume"]) == 3
+    assert "no checkpoint slot" in capsys.readouterr().err
+
+
+def test_resume_with_a_changed_model_is_a_data_error_naming_the_slot(tmp_path, capsys):
+    cfg, out = _small_config(tmp_path, iterations=40, checkpoint_every=20)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    log = (out / "train_log.csv").read_bytes()
+    payload = json.loads(cfg.read_text())
+    payload["encoder"][0]["filters"] = 5
+    cfg.write_text(json.dumps(payload))
+    assert main(["train", "--config", str(cfg), "--no-timestamp", "--resume"]) == 3
+    err = capsys.readouterr().err
+    assert "checkpoint_slot1.mtlc does not match the configured models" in err
+    assert (out / "train_log.csv").read_bytes() == log
+
+
+def test_train_on_segmentation_targets_of_another_size_is_a_data_error(tmp_path, capsys):
+    cfg, out = _small_config(tmp_path)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    entry = json.loads((out / "data" / "manifest.json").read_text())["tasks"][1]
+    path = out / "data" / entry["path"]
+    ds = load_dataset(path)
+    ds.targets = ds.targets[:, :8, :8].copy()
+    save_dataset(path, ds)
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 3
+    err = capsys.readouterr().err
+    assert entry["path"] in err and "examples 0..31" in err
 
 
 def test_diagnose_outputs(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mtlab.metrics import panoptic_quality
+from mtlab.metrics import InstanceStack, panoptic_quality
 from mtlab.tasks import (
     CLASSIFICATION_ARITIES,
     DATASET_MAGIC,
@@ -269,6 +269,24 @@ def test_instance_id_outside_its_class_table_is_a_named_format_error(tmp_path, p
         targets.ids[i, 0, 0] = labeled + 1 if past_table else -1
     path, example = _saved_instance_task(tmp_path, corrupt)
     with pytest.raises(FileFormatError, match=f"example {example}: id map") as exc:
+        load_dataset(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("kind", [KIND_BINARY_SEG, KIND_INSTANCE_SEG],
+                         ids=["binary", "instance"])
+def test_segmentation_targets_must_have_the_inputs_size(tmp_path, kind):
+    ds = gen_segmentation_task(kind, 16, 2, 3 if kind == KIND_INSTANCE_SEG else 1, 6, 3,
+                               seed=39)
+    if kind == KIND_BINARY_SEG:
+        ds.targets = ds.targets[:, :8, :8].copy()
+    else:
+        ds.targets = InstanceStack(ds.targets.ids[:, :8, :8], ds.targets.labels)
+    path = tmp_path / "task.mtld"
+    save_dataset(path, ds)
+    with pytest.raises(FileFormatError, match=r"examples 0\.\.8: target maps have shape "
+                                              r"\(8, 8\), not the inputs' height and "
+                                              r"width \(16, 16\)") as exc:
         load_dataset(path)
     assert str(path) in str(exc.value)
 

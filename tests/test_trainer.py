@@ -306,7 +306,7 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
 
     tasks = _suite(seed=65)
     store, enc, decs, states = _models(tasks, seed=66)
-    path = tmp_path / "checkpoint_latest.mtlc"
+    path = tmp_path / "checkpoint_final.mtlc"
     save_checkpoint(path, store, states, seed=65, t=10)
     before = path.read_bytes()
 
@@ -320,6 +320,42 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
         save_checkpoint(path, store, states, seed=65, t=20)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+@pytest.mark.parametrize("old_size", [0, 100, 10**6], ids=["new", "shorter", "longer"])
+def test_in_place_checkpoint_overwrites_the_file_itself(tmp_path, old_size):
+    tasks = _suite(seed=67)
+    store, enc, decs, states = _models(tasks, seed=68)
+    renamed, path = tmp_path / "renamed.mtlc", tmp_path / "slot.mtlc"
+    save_checkpoint(renamed, store, states, seed=67, t=5)
+    if old_size:
+        path.write_bytes(b"x" * old_size)
+        inode = path.stat().st_ino
+    save_checkpoint(path, store, states, seed=67, t=5, in_place=True)
+    assert path.read_bytes() == renamed.read_bytes()
+    assert not old_size or path.stat().st_ino == inode  # the same file, not a new one
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["renamed.mtlc", "slot.mtlc"]
+
+
+def test_read_frames_stops_at_a_cut_or_damaged_frame(tmp_path):
+    from mtlab.tensorio import BlockWriter, append_frame, read_frames
+
+    path = tmp_path / "journal"
+    for v in range(3):
+        w = BlockWriter(b"MTLJ", 1)
+        w.u32(v)
+        append_frame(path, w)
+    raw = path.read_bytes()
+    frames = read_frames(path, b"MTLJ", 1)
+    assert [r.u32() for r, _ in frames] == [0, 1, 2]
+    assert [end for _, end in frames] == [18, 36, 54] and len(raw) == 54
+
+    path.write_bytes(raw[:50])   # an append that stopped midway
+    assert [end for _, end in read_frames(path, b"MTLJ", 1)] == [18, 36]
+    garbled = bytearray(raw)
+    garbled[18 + 4 + 6] ^= 1     # the second frame's payload
+    path.write_bytes(bytes(garbled))
+    assert [end for _, end in read_frames(path, b"MTLJ", 1)] == [18]
 
 
 def test_checkpoint_group_mismatch_rejected(tmp_path):
@@ -350,10 +386,14 @@ def test_trace_round_trip(tmp_path):
 
 
 def test_periodic_checkpoints_written(tmp_path):
+    from mtlab.trainer import RunRecord
+
     tasks = _suite(seed=80)
     store, enc, decs, states = _models(tasks, seed=81)
-    path = tmp_path / "run.mtlc"
+    record = RunRecord(tmp_path, log_every=1)
     cfg = TrainConfig(iterations=10, batch_size=4, seed=82, checkpoint_every=4)
-    train(tasks, enc, decs, store, states, SamplerConfig.uniform(3), cfg,
-          checkpoint_path=path)
-    assert load_checkpoint(path).t == 8  # last cadence hit before T
+    train(tasks, enc, decs, store, states, SamplerConfig.uniform(3), cfg, record=record)
+    # saves at t=4 and t=8 go to alternate slots; the log holds the rows up to the last
+    assert [load_checkpoint(p).t for p in record.slots] == [4, 8]
+    lines = record.log_path.read_text().splitlines()
+    assert [int(line.split(",")[0]) for line in lines] == list(range(1, 9))
