@@ -208,6 +208,30 @@ def _newest_slot(record: RunRecord) -> tuple[int, Checkpoint]:
     return i, ck
 
 
+# The config keys a resumed run must share with the run it continues, as that
+# run's config_used.json holds them. `iterations` and `checkpoint_every` may
+# change; the seed is checked against the slot.
+RESUME_KEYS = ("suite", "encoder", "alpha", "batch_size", "adam", "diagnostics", "log_every")
+
+
+def _check_resume_config(cfg: ExperimentConfig, path: Path) -> None:
+    if not path.exists():
+        raise DataError(f"cannot resume: {path} does not exist, so the config of the "
+                        f"run to continue is unknown")
+    try:
+        used = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"cannot resume: {path} is not valid JSON: {exc}") from None
+    if not isinstance(used, dict) or not set(RESUME_KEYS) <= set(used):
+        raise DataError(f"cannot resume: {path} does not hold every key of "
+                        f"{', '.join(RESUME_KEYS)}")
+    for key in RESUME_KEYS:
+        now = json.loads(json.dumps(cfg.raw[key]))  # as the file would hold it
+        if now != used[key]:
+            raise ConfigError(f"cannot resume: {key} is {now!r} in the config but "
+                              f"{used[key]!r} in {path}")
+
+
 def cmd_train(cfg: ExperimentConfig, timestamp: bool, resume: bool) -> int:
     tasks = _load_manifest_tasks(cfg)
     sampler = _sampler(cfg, len(tasks))
@@ -233,12 +257,16 @@ def cmd_train(cfg: ExperimentConfig, timestamp: bool, resume: bool) -> int:
         except ValueError as exc:
             raise DataError(f"cannot resume: {path} does not match the configured "
                             f"models: {exc}") from None
+        _check_resume_config(cfg, record.config_path)
         record.resume(slot, ck.t, log.trace)
         start_t = ck.t
     else:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         record.clear()
         _csv_writer(record.log_path, ["t", "task_id", "loss"], [], timestamp)
+    with open(record.config_path, "w") as fh:
+        json.dump(cfg.raw, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
     log = train(tasks, encoder, decoders, store, states, sampler, tcfg,
                 start_t=start_t, log=log, record=record)
@@ -248,9 +276,6 @@ def cmd_train(cfg: ExperimentConfig, timestamp: bool, resume: bool) -> int:
     if log.trace is not None:
         save_trace(record.trace_path, log.trace)
     record.finish()
-    with open(record.config_path, "w") as fh:
-        json.dump(cfg.raw, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     print(f"trained {len(log.records)} iterations; outputs in {cfg.out_dir}")
     return EXIT_OK
 
@@ -321,7 +346,7 @@ def cmd_diagnose(cfg: ExperimentConfig, timestamp: bool, window: int) -> int:
                  for p in pairs],
                 timestamp)
 
-    matrix = pairwise_matrix(trace, window=window)
+    matrix = pairwise_matrix(pairs, trace.num_tasks, window=window)
     k = trace.num_tasks
     rows = []
     for i in range(k):
@@ -365,7 +390,6 @@ def cmd_pq(pred_path: Path, gt_path: Path, class_aware: bool,
 
 def cmd_concentration(cfg: ExperimentConfig, timestamp: bool, dims: list[int],
                       pairs: int) -> int:
-    # SFC64: the experiment draws billions of normals at large dims
     rng = np.random.Generator(np.random.SFC64(cfg.seed))
     stats = concentration_experiment(dims, pairs, rng)
     rows = [(s.dim, _fmt(s.mean), _fmt(s.std), _fmt(s.p05), _fmt(s.p95))

@@ -108,37 +108,42 @@ def consecutive_trace(trace: GradTrace):
     """Cosine series between each iteration's gradient and its predecessor.
 
     Pairs touching a zero gradient are skipped; returns (pairs, skipped
-    iteration indices). Each pair is aligned to the later iteration.
+    iteration indices). Each pair is aligned to the later iteration. Each
+    vector's norm is taken once; a pair's similarity is the same
+    `np.dot(u, v) / (|u| |v|)` as `cosine_similarity`, bit for bit.
     """
-    if len(trace.entries) < 2:
+    entries = trace.entries
+    if len(entries) < 2:
         raise ValueError("trace must contain at least two entries")
+    norms = [np.linalg.norm(v) for _, _, v in entries]
     pairs: list[ConsecutivePair] = []
     skipped: list[int] = []
-    for (t0, task0, v0), (t1, task1, v1) in zip(trace.entries, trace.entries[1:]):
-        if not v0.any() or not v1.any():
+    for (_, task0, v0), (t1, task1, v1), n0, n1 in zip(entries, entries[1:],
+                                                      norms, norms[1:]):
+        if n0 == 0.0 or n1 == 0.0:
             skipped.append(t1)
             continue
-        sim = cosine_similarity(v0, v1)
+        sim = float(np.dot(v0, v1) / (n0 * n1))
         pairs.append(ConsecutivePair(t1, task0, task1, sim, 1.0 - sim))
     return pairs, skipped
 
 
-def pairwise_matrix(trace: GradTrace, window: float = 10) -> PairwiseCosMatrix:
+def pairwise_matrix(pairs: list[ConsecutivePair], num_tasks: int,
+                    window: float = 10) -> PairwiseCosMatrix:
     """Final rolling-mean cosine distance per (previous task, current task) cell.
 
-    Cell (i, j) aggregates consecutive pairs where task i was sampled right
-    before task j; the reported value is the rolling mean (over `window`
-    samples, math.inf for a plain mean) evaluated at the last sample.
+    `pairs` is a `consecutive_trace` series. Cell (i, j) aggregates the
+    pairs where task i was sampled right before task j; the reported value
+    is the rolling mean (over `window` samples, math.inf for a plain mean)
+    evaluated at the last sample.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    k = trace.num_tasks
     cells: dict[tuple[int, int], list[float]] = {}
-    pairs, _ = consecutive_trace(trace) if len(trace.entries) >= 2 else ([], [])
     for p in pairs:
         cells.setdefault((p.task_prev, p.task_curr), []).append(p.distance)
-    values = np.full((k, k), np.nan)
-    counts = np.zeros((k, k), dtype=np.int64)
+    values = np.full((num_tasks, num_tasks), np.nan)
+    counts = np.zeros((num_tasks, num_tasks), dtype=np.int64)
     for (i, j), dists in cells.items():
         w = len(dists) if math.isinf(window) else min(int(window), len(dists))
         values[i, j] = float(np.mean(dists[-w:]))
@@ -157,15 +162,26 @@ class ConcentrationStat:
     hist_edges: np.ndarray
 
 
+def concentration_sample(d: int, n_pairs: int, rng) -> np.ndarray:
+    """Cosine similarities of `n_pairs` independent standard-normal pairs in R^d.
+
+    The standard normal is rotation invariant, so cos(u, v) of an independent
+    pair has the law of v[0] / |v| for one normal vector v, and |v|^2 is
+    v[0]^2 plus a chi-square with d - 1 degrees of freedom independent of
+    v[0]. Each pair therefore draws one normal v0 and one chi-square S and
+    records v0 / sqrt(v0^2 + S): the exact law, at a cost independent of d.
+    """
+    v0 = rng.standard_normal(n_pairs)
+    return v0 / np.sqrt(v0 * v0 + rng.chisquare(d - 1, n_pairs))
+
+
 def concentration_experiment(dims, n_pairs: int, rng,
                              bins: int = 51) -> list[ConcentrationStat]:
     """Cosine similarity of independent standard-normal vector pairs per dim.
 
-    The similarity concentrates around 0 with std roughly 1/sqrt(d), so the
-    distribution narrows as dimensionality grows. The standard normal is
-    rotation invariant, so cos(u, v) of an independent pair has the law of
-    v[0] / |v|: each pair draws one vector, its cosine with the first axis.
-    Vectors are generated in blocks to bound memory.
+    The similarity concentrates around 0 with std 1/sqrt(d), so the
+    distribution narrows as dimensionality grows. Each dim's pairs come from
+    `concentration_sample`, in the order of `dims`.
     """
     dims = [int(d) for d in dims]
     if any(d < 2 for d in dims):
@@ -174,12 +190,7 @@ def concentration_experiment(dims, n_pairs: int, rng,
         raise ValueError("need at least 1000 pairs per dimension")
     out = []
     for d in dims:
-        sims = np.empty(n_pairs)
-        block = max(1, int(4_000_000 // d))
-        for start in range(0, n_pairs, block):
-            b = min(block, n_pairs - start)
-            v = rng.standard_normal((b, d))
-            sims[start:start + b] = v[:, 0] / np.linalg.norm(v, axis=1)
+        sims = concentration_sample(d, n_pairs, rng)
         counts, edges = np.histogram(sims, bins=bins)
         out.append(ConcentrationStat(
             dim=d, mean=float(sims.mean()), std=float(sims.std()),

@@ -5,7 +5,7 @@ global-average-pool); it exposes both the pooled/flattened feature vector
 for classification heads and the pre-pool spatial map for segmentation
 heads, so one encoder serves a mixed task set. Decoders are deliberately
 thin: a single fully connected layer plus softmax for classification,
-nearest-neighbor upsampling plus a 1x1 projection with a per-pixel softmax
+a 1x1 projection then nearest-neighbor upsampling with a per-pixel softmax
 (or sigmoid for a one-class mask) for segmentation. Passing `graph=None` to
 the forward functions runs them untaped, for inference.
 """
@@ -257,7 +257,7 @@ class ClassificationDecoder:
 
 @dataclass
 class SegmentationDecoder:
-    """Nearest-neighbor upsampling stages plus a 1x1 conv, per-pixel softmax/sigmoid."""
+    """A 1x1 conv then nearest-neighbor upsampling stages, per-pixel softmax/sigmoid."""
 
     task_id: int
     group: str
@@ -277,12 +277,14 @@ class SegmentationDecoder:
             raise ModelSpecError(
                 f"decoder for task {self.task_id} expects feature map {self.map_shape}, "
                 f"got {feature_map.shape[1:]}")
-        h = feature_map
-        for f in self.upsample_factors:
-            h = ad.upsample_nearest(h, f)
+        # A 1x1 conv commutes with nearest upsampling, so the head projects
+        # first and the upsampling copies K channels instead of the map's C.
         w = _leaf(graph, self.store, f"{self.group}/proj.weight")
         b = _leaf(graph, self.store, f"{self.group}/proj.bias")
-        return ad.conv2d(h, w, b)
+        h = ad.conv2d(feature_map, w, b)
+        for f in self.upsample_factors:
+            h = ad.upsample_nearest(h, f)
+        return h
 
     def predict(self, logits: Tensor) -> Tensor:
         if self.nonlinearity == "softmax":

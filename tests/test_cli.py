@@ -402,11 +402,13 @@ def test_resume_past_the_log_is_a_data_error_naming_it(tmp_path, monkeypatch, ca
 def test_fresh_run_clears_the_previous_runs_resume_point(tmp_path, monkeypatch, capsys):
     cfg, out, _, _ = _crashed_run(tmp_path, monkeypatch, crash_at=5, iterations=40,
                                   checkpoint_every=20)
-    # the crash came before the first save: nothing of the earlier run is left
+    # the crash came before the first save: nothing of the earlier run is left,
+    # and config_used.json is the crashed run's own, written when it started
     for name in ("checkpoint_slot0.mtlc", "checkpoint_slot1.mtlc", "grad_trace.journal",
-                 "checkpoint_final.mtlc", "grad_trace.mtlg", "config_used.json"):
+                 "checkpoint_final.mtlc", "grad_trace.mtlg"):
         assert not (out / name).exists(), name
     assert _rows(out / "train_log.csv") == []
+    assert json.loads((out / "config_used.json").read_text())["seed"] == 5
     capsys.readouterr()
     assert main(["train", "--config", str(cfg), "--no-timestamp", "--resume"]) == 3
     assert "no checkpoint slot" in capsys.readouterr().err
@@ -423,6 +425,43 @@ def test_resume_with_a_changed_model_is_a_data_error_naming_the_slot(tmp_path, c
     assert main(["train", "--config", str(cfg), "--no-timestamp", "--resume"]) == 3
     err = capsys.readouterr().err
     assert "checkpoint_slot1.mtlc does not match the configured models" in err
+    assert (out / "train_log.csv").read_bytes() == log
+
+
+def test_config_used_is_written_at_start_with_the_end_of_run_bytes(tmp_path, monkeypatch):
+    cfg, out, _, _ = _crashed_run(tmp_path, monkeypatch, crash_at=5, iterations=40)
+    at_start = (out / "config_used.json").read_bytes()
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert (out / "config_used.json").read_bytes() == at_start
+
+
+@pytest.mark.parametrize("key,value", [("batch_size", 4), ("alpha", [0.25, 0.75]),
+                                       ("adam", {"lr": 0.01})])
+def test_resume_with_a_changed_training_config_is_a_config_error(tmp_path, capsys,
+                                                                  key, value):
+    cfg, out = _small_config(tmp_path, iterations=20, checkpoint_every=10, batch_size=2)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    payload = json.loads(cfg.read_text())
+    payload.update({"iterations": 30, key: value})
+    cfg.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--no-timestamp", "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "config_used.json" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
+
+def test_resume_without_config_used_is_a_data_error_naming_it(tmp_path, capsys):
+    cfg, out = _small_config(tmp_path, iterations=20, checkpoint_every=10)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    (out / "config_used.json").unlink()
+    log = (out / "train_log.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--no-timestamp", "--resume"]) == 3
+    assert "config_used.json" in capsys.readouterr().err
     assert (out / "train_log.csv").read_bytes() == log
 
 

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from mtlab.diagnostics import (
     GradTrace,
     concentration_experiment,
+    concentration_sample,
     consecutive_trace,
     cosine_distance,
     cosine_similarity,
@@ -18,6 +20,10 @@ def _trace(entries, k=3, dim=4):
     for t, task, v in entries:
         tr.append(t, task, np.asarray(v, dtype=np.float64))
     return tr
+
+
+def _matrix(tr, window):
+    return pairwise_matrix(consecutive_trace(tr)[0], tr.num_tasks, window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +102,14 @@ def test_zero_gradient_iterations_skipped_and_flagged():
     assert len(pairs) == (4 - 1) - len(skipped)
 
 
+def test_series_equals_cosine_similarity_bit_for_bit():
+    rng = np.random.default_rng(7)
+    entries = [(t, t % 3, rng.standard_normal(4)) for t in range(1, 21)]
+    pairs, _ = consecutive_trace(_trace(entries))
+    assert [p.similarity for p in pairs] == [cosine_similarity(a[2], b[2])
+                                             for a, b in zip(entries, entries[1:])]
+
+
 def test_trace_too_short_rejected():
     with pytest.raises(ValueError, match="two entries"):
         consecutive_trace(_trace([(1, 0, [1.0, 0, 0, 0])]))
@@ -121,7 +135,7 @@ def test_pairs_aligned_to_later_iteration():
 def test_single_task_matrix_has_single_cell():
     rng = np.random.default_rng(4)
     entries = [(t, 0, rng.standard_normal(4)) for t in range(1, 8)]
-    m = pairwise_matrix(_trace(entries, k=1), window=10)
+    m = _matrix(_trace(entries, k=1), window=10)
     assert m.values.shape == (1, 1)
     assert np.isfinite(m.values[0, 0])
     assert m.counts[0, 0] == 6
@@ -130,7 +144,7 @@ def test_single_task_matrix_has_single_cell():
 def test_identical_gradients_make_all_present_cells_zero():
     v = [2.0, -1.0, 0.5, 1.5]
     entries = [(t, t % 3, v) for t in range(1, 31)]
-    m = pairwise_matrix(_trace(entries), window=10)
+    m = _matrix(_trace(entries), window=10)
     present = ~np.isnan(m.values)
     assert present.any()
     assert np.allclose(m.values[present], 0.0)
@@ -140,7 +154,7 @@ def test_identical_gradients_make_all_present_cells_zero():
 def test_unsampled_cells_absent_not_zero():
     rng = np.random.default_rng(5)
     entries = [(t, 0 if t % 2 else 1, rng.standard_normal(4)) for t in range(1, 11)]
-    m = pairwise_matrix(_trace(entries, k=3), window=10)
+    m = _matrix(_trace(entries, k=3), window=10)
     assert np.isnan(m.values[2, 2])       # task 2 never sampled
     assert np.isnan(m.values[0, 0])       # tasks alternate, never 0 -> 0
     assert np.isfinite(m.values[0, 1])
@@ -151,7 +165,7 @@ def test_infinite_window_equals_plain_mean():
     rng = np.random.default_rng(6)
     entries = [(t, t % 2, rng.standard_normal(4)) for t in range(1, 40)]
     tr = _trace(entries, k=2)
-    m_inf = pairwise_matrix(tr, window=math.inf)
+    m_inf = _matrix(tr, window=math.inf)
     pairs, _ = consecutive_trace(tr)
     for i in range(2):
         for j in range(2):
@@ -167,14 +181,14 @@ def test_window_uses_last_samples_only():
     v = np.ones(4)
     entries = [(t, 0, v if t % 2 else -v) for t in range(1, 7)]
     entries += [(t, 0, v) for t in range(7, 11)]
-    m = pairwise_matrix(_trace(entries, k=1), window=3)
+    m = _matrix(_trace(entries, k=1), window=3)
     assert m.values[0, 0] == pytest.approx(0.0)
     assert m.counts[0, 0] == 9
 
 
 def test_matrix_rejects_bad_window():
     with pytest.raises(ValueError):
-        pairwise_matrix(_trace([(1, 0, [1.0, 0, 0, 0]), (2, 0, [1.0, 0, 0, 0])]), window=0)
+        _matrix(_trace([(1, 0, [1.0, 0, 0, 0]), (2, 0, [1.0, 0, 0, 0])]), window=0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +255,22 @@ def test_concentration_loglog_slope_near_minus_half():
     slope = np.polyfit(np.log([s.dim for s in stats]),
                        np.log([s.std for s in stats]), 1)[0]
     assert -0.55 <= slope <= -0.45
+
+
+def _explicit_pair_cosines(d, n, rng):
+    u = rng.standard_normal((n, d))
+    v = rng.standard_normal((n, d))
+    return np.einsum("ij,ij->i", u, v) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 16, 257])
+def test_concentration_sample_has_the_law_of_explicit_pairs(d):
+    sims = concentration_sample(d, 5000, np.random.Generator(np.random.SFC64(d)))
+    explicit = _explicit_pair_cosines(d, 5000, np.random.default_rng(1000 + d))
+    assert ks_2samp(sims, explicit).pvalue > 1e-3
+    if d == 2:  # the test tells neighbouring laws apart where they differ most
+        wrong = _explicit_pair_cosines(3, 5000, np.random.default_rng(7))
+        assert ks_2samp(sims, wrong).pvalue < 1e-6
 
 
 def test_concentration_validates_inputs():

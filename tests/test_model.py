@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mtlab import autodiff as ad
 from mtlab.autodiff import Graph, Tensor
 from mtlab.config import DEFAULT_ENCODER, parse_encoder_spec
 from mtlab.model import (
@@ -86,6 +87,21 @@ def test_segmentation_decoder_restores_resolution():
     fmap = Tensor(np.random.default_rng(2).uniform(-1, 1, (2, 8, 8, 8)))
     logits = dec.forward_logits(g, fmap)
     assert logits.shape == (2, 2, 16, 16)
+
+
+def test_segmentation_head_projects_then_upsamples():
+    store = ParamStore()
+    dec = build_segmentation_decoder(0, (8, 4, 4), 3, [2, 2], (16, 16), store, _rng())
+    fmap = Tensor(np.random.default_rng(5).uniform(-1, 1, (2, 8, 4, 4)))
+    g = Graph()
+    logits = dec.forward_logits(g, fmap)
+    assert [n.op for n in g._nodes if n.op not in ("leaf", "const")] == \
+        ["conv2d", "upsample_nearest", "upsample_nearest"]
+    # the 1x1 conv commutes with nearest upsampling: upsampling first gives the same logits
+    up = ad.upsample_nearest(ad.upsample_nearest(fmap, 2), 2)
+    want = ad.conv2d(up, store.get(f"{dec.group}/proj.weight"),
+                     store.get(f"{dec.group}/proj.bias"))
+    np.testing.assert_allclose(logits.data, want.data, rtol=1e-14, atol=1e-15)
 
 
 def test_sigmoid_mask_head_in_unit_interval():
