@@ -5,6 +5,13 @@ walks the tape once in reverse append order (which is reverse topological
 order, since inputs always precede outputs) and returns gradients for the
 parameter leaves reachable from the loss. Graphs are built fresh for each
 training step and discarded after backward.
+
+Backward closures capture arrays and shapes, never a `Tensor`: a tensor on
+a graph refers to the graph, so a closure holding one would make a
+reference cycle (tensor -> graph -> node -> closure -> tensor). Without
+cycles a step's tape and every array its closures hold are freed by
+reference counting as soon as the step's last tensor goes, not at the next
+run of the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -307,13 +314,14 @@ def global_avg_pool(x) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ShapeMismatchError(f"global_avg_pool: need (B,C,H,W), got {x.shape}")
-    h, w = x.shape[-2:]
+    shape = x.shape
+    h, w = shape[-2:]
     out = x.data.mean(axis=(-2, -1))
 
     def backward_fn(g, needs):
         if not needs[0]:
             return (None,)
-        return (np.broadcast_to(g[..., None, None] / (h * w), x.shape),)
+        return (np.broadcast_to(g[..., None, None] / (h * w), shape),)
 
     return _record("global_avg_pool", (x,), out, backward_fn)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import gc
 import json
 import sys
 from datetime import datetime, timezone
@@ -37,6 +39,31 @@ class DataError(RuntimeError):
 
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_RUNTIME = 0, 2, 3, 4
+
+
+def set_malloc_policy() -> None:
+    """Keep freed memory in the heap for the next training step to reuse.
+
+    Each step frees its tape (activations and im2col columns, several MB)
+    when it returns. Under glibc's dynamic thresholds that memory went back
+    to the kernel every step and the next step page-faulted it in again: on
+    the two-conv stride-2 encoder, 15x the minor faults, 9x the system time
+    and a quarter less throughput than when the tapes waited for the cyclic
+    garbage collector. Serving blocks up to 32 MiB from the heap
+    and trimming it only past 256 MiB of free top stops that. Both must be
+    set: setting either one turns off the dynamic adjustment of the other,
+    which faulted more still. Does nothing where the C library has no
+    `mallopt` (not glibc).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's malloc.h
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 256 << 20)
 
 
 def _csv_writer(path: Path, header: list[str], rows, timestamp: bool):
@@ -446,6 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    set_malloc_policy()
+    if not gc.get_freeze_count():
+        # Start-up objects (modules, classes, functions) live as long as the
+        # process; frozen, full collections skip them (walking ~41k of them
+        # took about 24 ms per full collection).
+        gc.freeze()
     timestamp = not args.no_timestamp
     try:
         if args.command == "pq":

@@ -9,6 +9,7 @@ length and then one such container.
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import zlib
@@ -49,7 +50,14 @@ class ChecksumError(FileFormatError):
 
 
 class BlockWriter:
-    """Accumulates fields; `to_bytes` appends the CRC32 trailer."""
+    """Accumulates fields; writing them appends the CRC32 trailer.
+
+    Integers and strings are packed as they come. A tensor is kept as a
+    contiguous little-endian array, not as a copy of its bytes: `save` and
+    `append_frame` stream the parts to the file with a running CRC32, so a
+    write holds no second copy of the payload. An array passed to `tensor`
+    must not be modified until the block is written.
+    """
 
     def __init__(self, magic: bytes, version: int):
         if len(magic) != 4:
@@ -91,11 +99,24 @@ class BlockWriter:
         self.u8(arr.ndim)
         for d in arr.shape:
             self.u32(d)
-        self._parts.append(np.ascontiguousarray(arr, dtype=_NP_DTYPES[code]).tobytes())
+        self._parts.append(np.ascontiguousarray(arr, dtype=_NP_DTYPES[code]))
+
+    def _nbytes(self) -> int:
+        """Length of the block, CRC32 trailer included."""
+        return sum(memoryview(p).nbytes for p in self._parts) + 4
+
+    def _write(self, fh) -> None:
+        """Write the fields, then their CRC32, to the binary file `fh`."""
+        crc = 0
+        for part in self._parts:
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<I", crc))
 
     def to_bytes(self) -> bytes:
-        body = b"".join(self._parts)
-        return body + struct.pack("<I", zlib.crc32(body))
+        buf = io.BytesIO()
+        self._write(buf)
+        return buf.getvalue()
 
     def save(self, path, in_place: bool = False) -> None:
         """Write `<path>.tmp` beside `path`, then rename it over `path`, so a
@@ -107,18 +128,17 @@ class BlockWriter:
         the new data on close (its `auto_da_alloc` heuristic); the caller
         must keep another copy, since a failed write leaves `path` torn.
         """
-        data = self.to_bytes()
         if in_place:
             fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
             with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-                if os.fstat(fd).st_size > len(data):
-                    fh.truncate(len(data))
+                self._write(fh)
+                if os.fstat(fd).st_size > fh.tell():
+                    fh.truncate()
             return
         tmp = f"{path}.tmp"
         try:
             with open(tmp, "wb") as fh:
-                fh.write(data)
+                self._write(fh)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -211,10 +231,9 @@ class BlockReader:
 
 def append_frame(path, w: BlockWriter) -> None:
     """Append `w`'s bytes to `path` as one frame: a u32 length, then the bytes."""
-    data = w.to_bytes()
     with open(path, "ab") as fh:
-        fh.write(struct.pack("<I", len(data)))
-        fh.write(data)
+        fh.write(struct.pack("<I", w._nbytes()))
+        w._write(fh)
 
 
 def read_frames(path, magic: bytes, version: int) -> list[tuple[BlockReader, int]]:

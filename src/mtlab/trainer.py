@@ -53,9 +53,14 @@ class TrainError(RuntimeError):
 
 @dataclass
 class SamplerConfig:
-    """Probability vector over the k tasks; normalized on construction."""
+    """Probability vector over the k tasks; normalized on construction.
+
+    `probs` holds the same values as Python floats, so `sample_task` sums
+    them without making a numpy scalar per addition.
+    """
 
     alpha: np.ndarray
+    probs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.alpha, dtype=np.float64)
@@ -67,6 +72,7 @@ class SamplerConfig:
         if total <= 0:
             raise ValueError("alpha must have positive mass")
         self.alpha = a / total
+        self.probs = tuple(self.alpha.tolist())
 
     @property
     def k(self) -> int:
@@ -119,7 +125,7 @@ def sample_task(sampler: SamplerConfig, rng) -> int:
     """Inverse-CDF draw over alpha with index-ascending cumulative order."""
     u = rng.random()
     acc = 0.0
-    for i, p in enumerate(sampler.alpha):
+    for i, p in enumerate(sampler.probs):
         acc += p
         if u < acc:
             return i

@@ -1,7 +1,9 @@
+import gc
 import importlib.util
 import inspect
 import math
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -512,6 +514,54 @@ def test_add_of_two_parameters_gives_both_read_only_gradients():
         assert not grads[pid].data.flags.writeable
         with pytest.raises(ValueError):
             grads[pid].data[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("kind", ["relu", "sigmoid", "softmax"])
+def test_apply_activation_rejects_nan_input(kind):
+    x = Tensor._wrap(np.array([[0.5, np.nan, -1.0]]))  # _wrap skips the finiteness check
+    with pytest.raises(ValueError, match="NaN"):
+        apply_activation(x, kind)
+
+
+# ---------------------------------------------------------------------------
+# tape lifetime: closures hold arrays and shapes, never a Tensor
+
+def _ramp(*shape):
+    return np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape)
+
+
+TAPE_CASES = {   # op -> (parameter shape, loss built from the parameter leaf)
+    "add": ((2, 3), lambda p: tensor_sum(add(p, Tensor(_ramp(2, 3))))),
+    "mul": ((2, 3), lambda p: tensor_sum(mul(p, p))),
+    "matmul": ((2, 3), lambda p: tensor_sum(
+        matmul(p, Tensor(_ramp(3, 4)), Tensor(np.zeros(4))))),
+    "conv2d": ((1, 2, 5, 5), lambda p: tensor_sum(conv2d(
+        p, Tensor(_ramp(3, 2, 3, 3)), Tensor(np.zeros((3, 1, 1))),
+        stride=2, padding=1))),
+    "relu": ((2, 3), lambda p: tensor_sum(relu(p))),
+    "sigmoid": ((2, 3), lambda p: tensor_sum(sigmoid(p))),
+    "softmax": ((2, 3), lambda p: tensor_sum(mul(softmax(p), p))),
+    "global_avg_pool": ((1, 2, 3, 3), lambda p: tensor_sum(global_avg_pool(p))),
+    "upsample_nearest": ((1, 2, 3, 3), lambda p: tensor_sum(upsample_nearest(p, 2))),
+    "reshape": ((2, 3), lambda p: tensor_sum(reshape(p, (3, 2)))),
+    "cross_entropy": ((2, 3), lambda p: cross_entropy(p, np.array([0, 2]))),
+    "binary_cross_entropy": ((2, 3), lambda p: binary_cross_entropy(p, np.ones((2, 3)))),
+}
+
+
+@pytest.mark.parametrize("op", sorted(TAPE_CASES))
+def test_tape_is_freed_without_the_cyclic_gc(op):
+    shape, make_loss = TAPE_CASES[op]
+    gc.collect()
+    gc.disable()
+    try:
+        g = Graph()
+        backward(make_loss(g.param("p", Tensor(_ramp(*shape)))))
+        tape = weakref.ref(g)
+        del g
+        assert tape() is None, f"{op}: a reference cycle keeps the tape alive"
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

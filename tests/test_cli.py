@@ -1,4 +1,6 @@
 import csv
+import ctypes
+import gc
 import json
 
 import numpy as np
@@ -43,6 +45,37 @@ def _small_config(tmp_path, **overrides):
 def _rows(path):
     with open(path) as fh:
         return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
+class _FakeLibc:
+    """Stands in for `ctypes.CDLL(None)`; records mallopt calls if it has mallopt."""
+
+    def __init__(self, has_mallopt):
+        self.calls = []
+        if has_mallopt:
+            self.mallopt = lambda param, value: self.calls.append((param, value)) or 1
+
+
+def test_malloc_policy_sets_both_glibc_thresholds(monkeypatch):
+    libc = _FakeLibc(has_mallopt=True)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    cli.set_malloc_policy()
+    assert libc.calls == [(-3, 32 << 20), (-1, 256 << 20)]  # M_MMAP_, M_TRIM_THRESHOLD
+
+
+def test_malloc_policy_does_nothing_without_mallopt(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: _FakeLibc(has_mallopt=False))
+    cli.set_malloc_policy()
+
+
+def test_main_freezes_the_start_up_objects_once(tmp_path):
+    gc.unfreeze()
+    path, _ = _small_config(tmp_path)
+    assert main(["generate", "--config", str(path), "--no-timestamp"]) == 0
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    assert main(["generate", "--config", str(path), "--no-timestamp"]) == 0
+    assert gc.get_freeze_count() <= frozen  # nothing more frozen; some may be freed
 
 
 def test_generate_writes_files_and_manifest(tmp_path):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -38,11 +40,11 @@ def _suite(seed=0, n_train=24, n_eval=8):
     ]
 
 
-def _models(tasks, seed=0, filters=6):
+def _models(tasks, seed=0, filters=6, layers=None):
     store = ParamStore()
     rng = np.random.default_rng(seed)
-    enc = build_encoder([Conv(filters, 3, padding=1), Activation("relu"), GlobalAvgPool()],
-                        tasks[0].spec.input_shape, store, rng)
+    layers = layers or [Conv(filters, 3, padding=1), Activation("relu"), GlobalAvgPool()]
+    enc = build_encoder(layers, tasks[0].spec.input_shape, store, rng)
     decs = build_decoders(tasks, enc, store, rng)
     states = init_adam_states(store)
     return store, enc, decs, states
@@ -91,6 +93,23 @@ def test_sampler_chi_square_goodness_of_fit():
         chi2 = ((observed - n * alpha) ** 2 / (n * alpha)).sum()
         failures += chi2 >= crit
     assert failures <= 1
+
+
+def test_sample_task_draws_as_the_loop_over_alpha():
+    # reference: the same inverse-CDF loop summing alpha's numpy float64 entries
+    s = SamplerConfig(np.array([0.16, 0.12, 0.10, 0.08, 0.06, 0.05, 0.04, 0.20, 0.07]))
+
+    def reference(rng):
+        u, acc = rng.random(), 0.0
+        for i, p in enumerate(s.alpha):
+            acc += p
+            if u < acc:
+                return i
+        return s.k - 1
+
+    rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+    assert [sample_task(s, rng) for _ in range(20_000)] == \
+        [reference(ref_rng) for _ in range(20_000)]
 
 
 def test_sampler_normalizes_alpha():
@@ -194,6 +213,29 @@ def test_same_seed_gives_bit_identical_run():
                 b"".join(v.tobytes() for _, _, v in log.trace.entries))
 
     assert run() == run()
+
+
+TWO_CONV_STRIDE2 = [Conv(6, 3, padding=1), Activation("relu"),
+                    Conv(8, 3, stride=2, padding=1), Activation("relu"), GlobalAvgPool()]
+
+
+@pytest.mark.parametrize("tasks, layers", [
+    (slice(0, 2), None), (slice(2, 3), None), (slice(0, 3), TWO_CONV_STRIDE2),
+], ids=["classification", "segmentation", "two_conv_stride2"])
+def test_each_step_tape_is_freed_without_the_cyclic_gc(tasks, layers):
+    # A reference cycle through the tape would keep every step's activations
+    # and im2col columns alive until the cyclic collector ran.
+    tasks = _suite()[tasks]
+    store, enc, decs, states = _models(tasks, layers=layers)
+    cfg = TrainConfig(iterations=30, batch_size=4, seed=5)
+    gc.collect()
+    gc.disable()
+    try:
+        train(tasks, enc, decs, store, states, SamplerConfig.uniform(len(tasks)), cfg)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def test_mismatched_counts_rejected():
