@@ -265,7 +265,7 @@ def relu(x) -> Tensor:
     xd = x.data
 
     def backward_fn(g, needs):
-        return (g * (xd > 0) if needs[0] else None,)
+        return (np.multiply(g, xd > 0, out=np.empty_like(g)) if needs[0] else None,)
 
     return _record("relu", (x,), np.maximum(xd, 0.0), backward_fn)
 

@@ -14,6 +14,7 @@ import ctypes
 import gc
 import json
 import sys
+from collections.abc import Iterator
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -84,43 +85,48 @@ def _fmt(v: float) -> str:
 # ---------------------------------------------------------------------------
 # suite construction
 
-def build_suite(cfg: ExperimentConfig) -> list[TaskDataset]:
+def build_suite(cfg: ExperimentConfig) -> Iterator[TaskDataset]:
+    """The configured suite's datasets, generated one at a time as it is iterated."""
     suite = cfg.suite
     if "tasks" not in suite:
-        return default_suite(cfg.seed, n_train=int(suite.get("n_train", 128)),
-                             n_eval=int(suite.get("n_eval", 64)))
-    tasks = []
+        yield from default_suite(cfg.seed, n_train=int(suite.get("n_train", 128)),
+                                 n_eval=int(suite.get("n_eval", 64)))
+        return
     for i, entry in enumerate(suite["tasks"]):
         seed = _task_seed(cfg.seed, i)
         n_train = int(entry.get("n_train", 128))
         n_eval = int(entry.get("n_eval", 64))
         if entry["kind"] == KIND_CLASSIFICATION:
-            tasks.append(gen_classification_task(
+            yield gen_classification_task(
                 int(entry["num_classes"]), tuple(entry.get("input_shape", (3, 32, 32))),
                 n_train, n_eval, float(entry.get("difficulty", 0.35)), seed,
-                task_id=i, name=entry.get("name")))
+                task_id=i, name=entry.get("name"))
         else:
-            tasks.append(gen_segmentation_task(
+            yield gen_segmentation_task(
                 entry["kind"], int(entry.get("image_size", 32)),
                 int(entry.get("max_instances", 3)), int(entry.get("num_classes", 1)),
-                n_train, n_eval, seed, task_id=i, name=entry.get("name")))
-    return tasks
+                n_train, n_eval, seed, task_id=i, name=entry.get("name"))
 
 
-def _load_manifest_tasks(cfg: ExperimentConfig) -> list[TaskDataset]:
+def _manifest_files(cfg: ExperimentConfig) -> list[tuple[str, Path]]:
+    """(name as the manifest gives it, path) of each dataset file, in its order."""
     if not cfg.manifest_path.exists():
         raise DataError(f"no dataset manifest at {cfg.manifest_path}; "
                         f"run 'mtlab generate' first")
     try:
         with open(cfg.manifest_path) as fh:
-            paths = [cfg.data_dir / entry["path"] for entry in json.load(fh)["tasks"]]
+            return [(entry["path"], cfg.data_dir / entry["path"])
+                    for entry in json.load(fh)["tasks"]]
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest {cfg.manifest_path} is not valid JSON: {exc}") from None
     except (KeyError, TypeError) as exc:
         raise DataError(f"manifest {cfg.manifest_path} needs a 'tasks' list of entries "
                         f"with a 'path': {exc!r}") from None
+
+
+def _load_manifest_tasks(cfg: ExperimentConfig) -> list[TaskDataset]:
     tasks = []
-    for path in paths:
+    for _, path in _manifest_files(cfg):
         if not path.exists():
             raise DataError(f"dataset file {path} listed in manifest is missing")
         tasks.append(load_dataset(path))
@@ -191,10 +197,9 @@ def evaluate_task(encoder, decoder, ds: TaskDataset) -> tuple[str, float]:
 # commands
 
 def cmd_generate(cfg: ExperimentConfig, timestamp: bool) -> int:
-    tasks = build_suite(cfg)
     cfg.data_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for ds in tasks:
+    for ds in build_suite(cfg):
         fname = f"task_{ds.spec.task_id:02d}_{ds.spec.name}.mtld"
         save_dataset(cfg.data_dir / fname, ds)
         entries.append({
@@ -208,11 +213,12 @@ def cmd_generate(cfg: ExperimentConfig, timestamp: bool) -> int:
             "n_train": int(len(ds.indices("train"))),
             "n_eval": int(len(ds.indices("eval"))),
         })
+        del ds  # so the next task is generated with no other dataset held
     manifest = {"seed": cfg.seed, "tasks": entries}
     with open(cfg.manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(tasks)} dataset files and manifest to {cfg.data_dir}")
+    print(f"wrote {len(entries)} dataset files and manifest to {cfg.data_dir}")
     return EXIT_OK
 
 
@@ -239,9 +245,12 @@ def _newest_slot(record: RunRecord) -> tuple[int, Checkpoint]:
 # run's config_used.json holds them. `iterations` and `checkpoint_every` may
 # change; the seed is checked against the slot.
 RESUME_KEYS = ("suite", "encoder", "alpha", "batch_size", "adam", "diagnostics", "log_every")
+# config_used.json's record of the datasets trained on: the CRC32 trailer of
+# each dataset file, by its name in the manifest
+DATASETS_KEY = "dataset_crc32"
 
 
-def _check_resume_config(cfg: ExperimentConfig, path: Path) -> None:
+def _check_resume_config(cfg: ExperimentConfig, path: Path, datasets: dict[str, int]) -> None:
     if not path.exists():
         raise DataError(f"cannot resume: {path} does not exist, so the config of the "
                         f"run to continue is unknown")
@@ -249,18 +258,25 @@ def _check_resume_config(cfg: ExperimentConfig, path: Path) -> None:
         used = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"cannot resume: {path} is not valid JSON: {exc}") from None
-    if not isinstance(used, dict) or not set(RESUME_KEYS) <= set(used):
-        raise DataError(f"cannot resume: {path} does not hold every key of "
-                        f"{', '.join(RESUME_KEYS)}")
+    keys = (*RESUME_KEYS, DATASETS_KEY)
+    if not isinstance(used, dict) or not set(keys) <= set(used) \
+            or not isinstance(used[DATASETS_KEY], dict):
+        raise DataError(f"cannot resume: {path} does not hold every key of {', '.join(keys)}")
     for key in RESUME_KEYS:
         now = json.loads(json.dumps(cfg.raw[key]))  # as the file would hold it
         if now != used[key]:
             raise ConfigError(f"cannot resume: {key} is {now!r} in the config but "
                               f"{used[key]!r} in {path}")
+    for name, crc in datasets.items():
+        if used[DATASETS_KEY].get(name) != crc:
+            raise DataError(f"cannot resume: dataset file {cfg.data_dir / name} has CRC32 "
+                            f"{crc:#010x}, not that of the file the run trained on "
+                            f"({path} records {used[DATASETS_KEY].get(name)!r})")
 
 
 def cmd_train(cfg: ExperimentConfig, timestamp: bool, resume: bool) -> int:
     tasks = _load_manifest_tasks(cfg)
+    datasets = {name: ds.crc32 for (name, _), ds in zip(_manifest_files(cfg), tasks)}
     sampler = _sampler(cfg, len(tasks))
     store, encoder, decoders, states = _build_models(cfg, tasks)
     tcfg = TrainConfig(iterations=cfg.iterations, batch_size=cfg.batch_size,
@@ -284,7 +300,7 @@ def cmd_train(cfg: ExperimentConfig, timestamp: bool, resume: bool) -> int:
         except ValueError as exc:
             raise DataError(f"cannot resume: {path} does not match the configured "
                             f"models: {exc}") from None
-        _check_resume_config(cfg, record.config_path)
+        _check_resume_config(cfg, record.config_path, datasets)
         record.resume(slot, ck.t, log.trace)
         start_t = ck.t
     else:
@@ -292,7 +308,7 @@ def cmd_train(cfg: ExperimentConfig, timestamp: bool, resume: bool) -> int:
         record.clear()
         _csv_writer(record.log_path, ["t", "task_id", "loss"], [], timestamp)
     with open(record.config_path, "w") as fh:
-        json.dump(cfg.raw, fh, indent=2, sort_keys=True)
+        json.dump({**cfg.raw, DATASETS_KEY: datasets}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     log = train(tasks, encoder, decoders, store, states, sampler, tcfg,
@@ -301,7 +317,7 @@ def cmd_train(cfg: ExperimentConfig, timestamp: bool, resume: bool) -> int:
     record.append_log(log)
     save_checkpoint(record.final_path, store, states, cfg.seed, cfg.iterations)
     if log.trace is not None:
-        save_trace(record.trace_path, log.trace)
+        save_trace(record.trace_path, log.trace, record.journal if record.journaled else None)
     record.finish()
     print(f"trained {len(log.records)} iterations; outputs in {cfg.out_dir}")
     return EXIT_OK

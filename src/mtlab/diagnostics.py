@@ -87,30 +87,13 @@ class GradTrace:
         self.entries.append((int(t), int(task), self._project(vec)))
 
 
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """<u,v> / (|u| |v|); rejects zero vectors."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"vectors have different shapes: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine similarity undefined for zero vectors")
-    return float(np.dot(u, v) / (nu * nv))
-
-
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    return 1.0 - cosine_similarity(u, v)
-
-
 def consecutive_trace(trace: GradTrace):
     """Cosine series between each iteration's gradient and its predecessor.
 
     Pairs touching a zero gradient are skipped; returns (pairs, skipped
     iteration indices). Each pair is aligned to the later iteration. Each
-    vector's norm is taken once; a pair's similarity is the same
-    `np.dot(u, v) / (|u| |v|)` as `cosine_similarity`, bit for bit.
+    vector's norm is taken once; a pair's similarity is
+    `np.dot(u, v) / (|u| |v|)`.
     """
     entries = trace.entries
     if len(entries) < 2:

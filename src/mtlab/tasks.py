@@ -10,6 +10,7 @@ generation produce identical bytes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,7 @@ class TaskDataset:
     targets: np.ndarray | InstanceStack  # an instance task labels example e's ids 1..k_e
     split: np.ndarray      # (n,) int32, 0 = train, 1 = eval
     seed: int
+    crc32: int | None = None  # the CRC32 trailer of the file it was loaded from
     _train_idx: np.ndarray = field(init=False, repr=False)
     _eval_idx: np.ndarray = field(init=False, repr=False)
 
@@ -121,17 +123,6 @@ class TaskDataset:
             rows = np.searchsorted(labels[:, 0], idx)[:, None, None] + ids - 1
             return np.append(labels[:, 2], 0).astype(np.int32)[np.where(ids > 0, rows, -1)]
         return self.targets[idx]
-
-    def equals(self, other: "TaskDataset") -> bool:
-        if self.spec != other.spec or self.seed != other.seed:
-            return False
-        if not (np.array_equal(self.split, other.split)
-                and np.array_equal(self.inputs, other.inputs)):
-            return False
-        if self.spec.kind == KIND_INSTANCE_SEG:
-            return (np.array_equal(self.targets.ids, other.targets.ids)
-                    and np.array_equal(self.targets.labels, other.targets.labels))
-        return np.array_equal(self.targets, other.targets)
 
 
 def sample_batch(ds: TaskDataset, split: str, batch_size: int, rng):
@@ -293,23 +284,22 @@ DEFAULT_INPUT_SHAPE = (3, 32, 32)
 DEFAULT_DIFFICULTY = 0.35
 
 
-def default_suite(seed: int, n_train: int = 128, n_eval: int = 64) -> list[TaskDataset]:
-    """The default eleven-task suite: 7 classification + 1 instance + 3 binary."""
-    tasks = []
+def default_suite(seed: int, n_train: int = 128, n_eval: int = 64) -> Iterator[TaskDataset]:
+    """The default eleven-task suite: 7 classification + 1 instance + 3 binary,
+    generated one task at a time as it is iterated."""
     for tid, k in enumerate(CLASSIFICATION_ARITIES):
-        tasks.append(gen_classification_task(
+        yield gen_classification_task(
             k, DEFAULT_INPUT_SHAPE, n_train, n_eval, DEFAULT_DIFFICULTY,
-            seed=_task_seed(seed, tid), task_id=tid, name=f"patch_k{k}_t{tid}"))
+            seed=_task_seed(seed, tid), task_id=tid, name=f"patch_k{k}_t{tid}")
     size = DEFAULT_INPUT_SHAPE[1]
-    tasks.append(gen_segmentation_task(
+    yield gen_segmentation_task(
         KIND_INSTANCE_SEG, size, 3, 3, n_train, n_eval,
-        seed=_task_seed(seed, 7), task_id=7, name="shapes_instance"))
+        seed=_task_seed(seed, 7), task_id=7, name="shapes_instance")
     for j in range(3):
         tid = 8 + j
-        tasks.append(gen_segmentation_task(
+        yield gen_segmentation_task(
             KIND_BINARY_SEG, size, 3, 1, n_train, n_eval,
-            seed=_task_seed(seed, tid), task_id=tid, name=f"shapes_binary_{j}"))
-    return tasks
+            seed=_task_seed(seed, tid), task_id=tid, name=f"shapes_binary_{j}")
 
 
 def _task_seed(seed: int, task_id: int) -> int:
@@ -346,23 +336,23 @@ def save_dataset(path, ds: TaskDataset) -> None:
 
 
 def load_dataset(path) -> TaskDataset:
-    r = read_file(path, DATASET_MAGIC, DATASET_VERSION)
-    task_id = r.u16()
-    name = r.string()
-    code = r.u8()
-    if code not in _KIND_NAMES:
-        raise FileFormatError(f"{path}: unknown task kind code {code}")
-    kind = _KIND_NAMES[code]
-    k = r.u16()
-    ndim = r.u8()
-    input_shape = tuple(r.u32() for _ in range(ndim))
-    seed = r.u64()
-    n = r.u32()
-    split = r.tensor()
-    inputs = r.tensor()
-    targets = r.tensor()
-    tables = [r.tensor() for _ in range(n)] if kind == KIND_INSTANCE_SEG else None
-    r.finish()
+    with read_file(path, DATASET_MAGIC, DATASET_VERSION) as r:
+        task_id = r.u16()
+        name = r.string()
+        code = r.u8()
+        if code not in _KIND_NAMES:
+            raise FileFormatError(f"{path}: unknown task kind code {code}")
+        kind = _KIND_NAMES[code]
+        k = r.u16()
+        ndim = r.u8()
+        input_shape = tuple(r.u32() for _ in range(ndim))
+        seed = r.u64()
+        n = r.u32()
+        split = r.tensor()
+        inputs = r.tensor()
+        targets = r.tensor()
+        tables = [r.tensor() for _ in range(n)] if kind == KIND_INSTANCE_SEG else None
+        crc32 = r.finish()
     for what, rows in (("split", split), ("inputs", inputs), ("targets", targets)):
         if rows.shape[:1] != (n,):
             raise FileFormatError(f"{path}: the header counts {n} examples but {what} "
@@ -374,7 +364,7 @@ def load_dataset(path) -> TaskDataset:
         if tables is not None:
             targets = _instances(targets, tables)
         return TaskDataset(TaskSpec(task_id, name, kind, k, input_shape),
-                           inputs, targets, split, seed)
+                           inputs, targets, split, seed, crc32)
     except MaskError as exc:
         where = "" if exc.image is None else f"example {exc.image}: "
         raise FileFormatError(f"{path}: {where}{exc}") from None
@@ -394,10 +384,10 @@ def save_mask(path, mask: InstanceStack) -> None:
 
 def load_mask(path) -> InstanceStack:
     """A mask file as a stack of one; a file that cannot be scored is a FileFormatError."""
-    r = read_file(path, MASK_MAGIC, MASK_VERSION)
-    ids = r.tensor()
-    pairs = r.tensor()
-    r.finish()
+    with read_file(path, MASK_MAGIC, MASK_VERSION) as r:
+        ids = r.tensor()
+        pairs = r.tensor()
+        r.finish()
     if ids.ndim != 2:
         raise FileFormatError(f"{path}: the id map must be 2-D, got shape {ids.shape}")
     if pairs.ndim != 2 or pairs.shape[1] != 2:

@@ -4,7 +4,9 @@ Layout of every file: 4-byte magic, version u16, a sequence of fields
 (integers little-endian, strings u16-length-prefixed UTF-8, tensors as
 dtype u8 / ndim u8 / dims u32 / row-major payload), then a trailing CRC32
 of all preceding bytes. A journal file is a sequence of frames, each a u32
-length and then one such container.
+length and then one such container. Writers stream the fields to the file
+and readers read them from it in one pass, each with a running CRC32, so
+neither holds a second copy of a tensor's payload.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import io
 import os
 import struct
 import zlib
+from itertools import chain
 
 import numpy as np
 
@@ -20,6 +23,8 @@ DTYPE_F64 = 0
 DTYPE_I32 = 1
 
 _NP_DTYPES = {DTYPE_F64: np.dtype("<f8"), DTYPE_I32: np.dtype("<i4")}
+
+_SKIP_CHUNK = 1 << 20  # bytes read at a time past a payload that is not kept
 
 
 class FileFormatError(ValueError):
@@ -53,38 +58,55 @@ class BlockWriter:
     """Accumulates fields; writing them appends the CRC32 trailer.
 
     Integers and strings are packed as they come. A tensor is kept as a
-    contiguous little-endian array, not as a copy of its bytes: `save` and
-    `append_frame` stream the parts to the file with a running CRC32, so a
-    write holds no second copy of the payload. An array passed to `tensor`
-    must not be modified until the block is written.
+    contiguous little-endian array, not as a copy of its bytes, and the rows
+    given to `tensor_rows` are taken only as the block is written: `save`
+    and `append_frame` stream the parts to the file with a running CRC32, so
+    a write holds no second copy of the payload. An array passed to `tensor`
+    must not be modified until the block is written, and a block with
+    `tensor_rows` can be written only once.
     """
 
     def __init__(self, magic: bytes, version: int):
         if len(magic) != 4:
             raise ValueError("magic must be 4 bytes")
-        self._parts = [magic, struct.pack("<H", version)]
+        self._parts = []   # iterables of buffers, written in order
+        self._size = 4     # bytes of the block, CRC32 trailer included
+        self._add(magic)
+        self._add(struct.pack("<H", version))
+
+    def _add(self, buf) -> None:
+        self._parts.append((buf,))
+        self._size += memoryview(buf).nbytes
 
     def u8(self, v: int) -> None:
-        self._parts.append(struct.pack("<B", v))
+        self._add(struct.pack("<B", v))
 
     def u16(self, v: int) -> None:
-        self._parts.append(struct.pack("<H", v))
+        self._add(struct.pack("<H", v))
 
     def u32(self, v: int) -> None:
-        self._parts.append(struct.pack("<I", v))
+        self._add(struct.pack("<I", v))
 
     def u64(self, v: int) -> None:
-        self._parts.append(struct.pack("<Q", v))
+        self._add(struct.pack("<Q", v))
 
     def f64(self, v: float) -> None:
-        self._parts.append(struct.pack("<d", v))
+        self._add(struct.pack("<d", v))
 
     def string(self, s: str) -> None:
         raw = s.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise ValueError("string too long for u16 length prefix")
         self.u16(len(raw))
-        self._parts.append(raw)
+        self._add(raw)
+
+    def _tensor_header(self, code: int, shape: tuple) -> None:
+        if len(shape) > 0xFF:
+            raise ValueError("too many dimensions")
+        self.u8(code)
+        self.u8(len(shape))
+        for d in shape:
+            self.u32(d)
 
     def tensor(self, arr: np.ndarray) -> None:
         if arr.dtype == np.float64:
@@ -93,24 +115,24 @@ class BlockWriter:
             code = DTYPE_I32
         else:
             raise ValueError(f"unsupported tensor dtype {arr.dtype}; use float64 or int32")
-        if arr.ndim > 0xFF:
-            raise ValueError("too many dimensions")
-        self.u8(code)
-        self.u8(arr.ndim)
-        for d in arr.shape:
-            self.u32(d)
-        self._parts.append(np.ascontiguousarray(arr, dtype=_NP_DTYPES[code]))
+        self._tensor_header(code, arr.shape)
+        self._add(np.ascontiguousarray(arr, dtype=_NP_DTYPES[code]))
 
-    def _nbytes(self) -> int:
-        """Length of the block, CRC32 trailer included."""
-        return sum(memoryview(p).nbytes for p in self._parts) + 4
+    def tensor_rows(self, n: int, dim: int, rows) -> None:
+        """An (n, dim) float64 tensor whose payload is the arrays that `rows`
+        yields (rows or blocks of rows, in order), each written as it comes
+        instead of being stacked into one array. The write fails if they do
+        not hold n * dim values in all."""
+        self._tensor_header(DTYPE_F64, (n, dim))
+        self._parts.append(_float64_buffers(rows, n * dim))
+        self._size += n * dim * 8
 
     def _write(self, fh) -> None:
         """Write the fields, then their CRC32, to the binary file `fh`."""
         crc = 0
-        for part in self._parts:
-            fh.write(part)
-            crc = zlib.crc32(part, crc)
+        for buf in chain.from_iterable(self._parts):
+            fh.write(buf)
+            crc = zlib.crc32(buf, crc)
         fh.write(struct.pack("<I", crc))
 
     def to_bytes(self) -> bytes:
@@ -146,36 +168,78 @@ class BlockWriter:
             raise
 
 
-class BlockReader:
-    """Validates magic and version up front, CRC32 when `finish` is called.
+def _float64_buffers(rows, count: int):
+    """The arrays of `rows` as contiguous little-endian float64 buffers; raises
+    ValueError unless they hold `count` values in all."""
+    left = count
+    for row in rows:
+        buf = np.ascontiguousarray(row, dtype=_NP_DTYPES[DTYPE_F64])
+        left -= buf.size
+        if left < 0:
+            break
+        yield buf
+    if left:
+        raise ValueError(f"tensor rows hold {count - left} values, not the {count} declared")
 
-    Field reads running past the end raise TruncatedFileError with the
-    offending offset, so a cut-off file is rejected before any state is built.
-    Every error message starts with `source`, the name of the file read.
+
+class BlockReader:
+    """Reads one container's fields from an open binary file in one pass.
+
+    The container's length is known up front. Magic and version are checked
+    at once; every byte read goes into a running CRC32, which `finish`
+    compares with the trailer. A field read running past the end raises
+    TruncatedFileError with the offending offset before anything is read or
+    allocated, so a cut-off file is rejected before any state is built, and
+    a tensor's payload is read straight into its array. Every error message
+    starts with `source`, the name of the file read. A reader from
+    `read_file` owns its file: use it as a context manager.
     """
 
-    def __init__(self, data: bytes, magic: bytes, version: int, source: str):
+    def __init__(self, fh, size: int, magic: bytes, version: int, source: str):
         self.source = source
-        if len(data) < 4:
-            raise TruncatedFileError(source, 0, 4, len(data))
-        if data[:4] != magic:
-            raise BadMagicError(f"{source}: bad magic {data[:4]!r}, expected {magic!r}")
-        if len(data) < 10:
-            raise TruncatedFileError(source, 4, 6, len(data) - 4)
-        (got_version,) = struct.unpack_from("<H", data, 4)
+        self._fh = fh
+        self._pos = 0
+        self._crc = 0
+        if size < 4:
+            raise TruncatedFileError(source, 0, 4, size)
+        got = self._read(4)
+        if got != magic:
+            raise BadMagicError(f"{source}: bad magic {got!r}, expected {magic!r}")
+        if size < 10:
+            raise TruncatedFileError(source, 4, 6, size - 4)
+        (got_version,) = struct.unpack("<H", self._read(2))
         if got_version != version:
             raise VersionMismatchError(
                 f"{source}: format version {got_version}, expected {version}")
-        self._data = data
-        self._pos = 6
-        self._end = len(data) - 4  # CRC trailer excluded from field area
+        self._end = size - 4  # CRC trailer excluded from field area
 
-    def _take(self, n: int) -> bytes:
+    def __enter__(self) -> "BlockReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def _check(self, n: int) -> None:
         if self._pos + n > self._end:
             raise TruncatedFileError(self.source, self._pos, n, self._end - self._pos)
-        out = self._data[self._pos : self._pos + n]
+
+    def _readinto(self, buf) -> None:
+        """Fill `buf` from the file and add it to the CRC32."""
+        got = self._fh.readinto(buf)
+        n = memoryview(buf).nbytes
+        if got != n:  # the file got shorter while it was read
+            raise TruncatedFileError(self.source, self._pos, n, got)
+        self._crc = zlib.crc32(buf, self._crc)
         self._pos += n
-        return out
+
+    def _read(self, n: int) -> bytes:
+        buf = bytearray(n)
+        self._readinto(buf)
+        return bytes(buf)
+
+    def _take(self, n: int) -> bytes:
+        self._check(n)
+        return self._read(n)
 
     def u8(self) -> int:
         return self._take(1)[0]
@@ -201,66 +265,96 @@ class BlockReader:
             raise FileFormatError(f"{self.source}: string at offset {self._pos - n} "
                                   f"is not UTF-8") from None
 
-    def tensor(self) -> np.ndarray:
+    def _tensor_header(self) -> tuple[np.dtype, tuple[int, ...], int]:
+        """dtype, shape and payload bytes of the next tensor, checked to fit."""
         code = self.u8()
         if code not in _NP_DTYPES:
             raise FileFormatError(
                 f"{self.source}: unknown tensor dtype code {code} at offset {self._pos - 1}")
         ndim = self.u8()
         shape = tuple(self.u32() for _ in range(ndim))
-        count = 1
+        nbytes = _NP_DTYPES[code].itemsize
         for d in shape:
-            count *= d
-        raw = self._take(count * _NP_DTYPES[code].itemsize)
-        arr = np.frombuffer(raw, dtype=_NP_DTYPES[code]).reshape(shape)
-        return arr.astype(arr.dtype.newbyteorder("="), copy=True)
+            nbytes *= d
+        self._check(nbytes)
+        return _NP_DTYPES[code], shape, nbytes
 
-    def finish(self) -> None:
-        """Require all field bytes consumed and the CRC trailer to match."""
+    def tensor(self) -> np.ndarray:
+        dtype, shape, _ = self._tensor_header()
+        arr = np.empty(shape, dtype)
+        self._readinto(arr.reshape(-1).view(np.uint8))
+        return arr if dtype.isnative else arr.astype(dtype.newbyteorder("="))
+
+    def skip_tensor(self) -> tuple[int, ...]:
+        """Read past the next tensor, its bytes still checked by the CRC32, without
+        keeping its payload; returns its shape."""
+        _, shape, left = self._tensor_header()
+        chunk = memoryview(bytearray(min(left, _SKIP_CHUNK)))
+        while left:
+            n = min(left, len(chunk))
+            self._readinto(chunk[:n])
+            left -= n
+        return shape
+
+    def finish(self) -> int:
+        """Require all field bytes consumed and the CRC trailer to match; returns
+        the CRC32."""
         if self._pos != self._end:
             raise FileFormatError(
                 f"{self.source}: trailing bytes: parsing stopped at offset {self._pos}, "
                 f"field area ends at {self._end}"
             )
-        (stored,) = struct.unpack_from("<I", self._data, self._end)
-        actual = zlib.crc32(self._data[: self._end])
-        if stored != actual:
+        raw = self._fh.read(4)
+        if len(raw) != 4:
+            raise TruncatedFileError(self.source, self._pos, 4, len(raw))
+        (stored,) = struct.unpack("<I", raw)
+        if stored != self._crc:
             raise ChecksumError(f"{self.source}: CRC32 mismatch: stored {stored:#010x}, "
-                                f"computed {actual:#010x}")
+                                f"computed {self._crc:#010x}")
+        return stored
 
 
 def append_frame(path, w: BlockWriter) -> None:
     """Append `w`'s bytes to `path` as one frame: a u32 length, then the bytes."""
     with open(path, "ab") as fh:
-        fh.write(struct.pack("<I", w._nbytes()))
+        fh.write(struct.pack("<I", w._size))
         w._write(fh)
 
 
-def read_frames(path, magic: bytes, version: int) -> list[tuple[BlockReader, int]]:
-    """The frames of `path` in order, each with the file offset where it ends.
+def read_frames(path, magic: bytes, version: int, parse):
+    """Yield `(parse(reader), end)` for the frames of `path` in order, one at a
+    time, where `reader` is the frame's BlockReader and `end` the file offset
+    where the frame ends.
 
-    Reading stops at the first frame that is cut off or fails its magic,
-    version or CRC: that is the tail of an append that did not finish.
+    A frame's value is yielded only once its CRC has matched. Reading stops
+    at the first frame that is cut off, fails its magic, version or CRC, or
+    that `parse` rejects with a FileFormatError: that is the tail of an
+    append that did not finish.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    frames, pos = [], 0
-    while pos + 4 <= len(data):
-        (n,) = struct.unpack_from("<I", data, pos)
-        end = pos + 4 + n
-        if end > len(data) or n < 10:
-            break
-        body = data[pos + 4:end]
-        if struct.unpack_from("<I", body, n - 4)[0] != zlib.crc32(body[:-4]):
-            break
-        try:
-            frames.append((BlockReader(body, magic, version, str(path)), end))
-        except FileFormatError:
-            break
-        pos = end
-    return frames
+        size = os.fstat(fh.fileno()).st_size
+        pos = 0
+        while pos + 4 <= size:
+            (n,) = struct.unpack("<I", fh.read(4))
+            end = pos + 4 + n
+            if end > size or n < 10:
+                return
+            try:
+                r = BlockReader(fh, n, magic, version, str(path))
+                value = parse(r)
+                r.finish()
+            except FileFormatError:
+                return
+            yield value, end
+            pos = end
 
 
 def read_file(path, magic: bytes, version: int) -> BlockReader:
-    with open(path, "rb") as fh:
-        return BlockReader(fh.read(), magic, version, str(path))
+    """A reader of the file at `path`, its magic and version checked; it owns the
+    open file, so read it in a `with` block."""
+    fh = open(path, "rb")
+    try:
+        return BlockReader(fh, os.fstat(fh.fileno()).st_size, magic, version, str(path))
+    except BaseException:
+        fh.close()
+        raise

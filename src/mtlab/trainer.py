@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -88,14 +89,16 @@ class TrainConfig:
     iterations: int
     batch_size: int = 8
     seed: int = 0
-    checkpoint_every: int = 0   # 0 disables periodic checkpoints
-    diagnostics: str = "off"    # off | exact | sketch
+    checkpoint_every: int = 1000  # iterations between saves to a RunRecord
+    diagnostics: str = "off"      # off | exact | sketch
 
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1")
         if self.diagnostics not in ("off", "exact", "sketch"):
             raise ValueError(f"diagnostics must be off/exact/sketch, got {self.diagnostics!r}")
 
@@ -223,7 +226,8 @@ def train(tasks: list[TaskDataset], encoder: EncoderModel, decoders: list,
     batches, and final parameters are reproducible, and resuming from a
     checkpoint at any t matches the uninterrupted run bit-exactly. With a
     `record`, every `checkpoint_every` iterations the run is journaled and
-    checkpointed there.
+    checkpointed there, and the trace keeps only the rows since; without
+    one, the trace keeps every row.
     """
     k = len(tasks)
     if not (k == len(decoders) == sampler.k):
@@ -243,8 +247,7 @@ def train(tasks: list[TaskDataset], encoder: EncoderModel, decoders: list,
         log.records.append(TrainRecord(t, i, loss))
         if log.trace is not None:
             log.trace.append(t, i, flatten_group_grads(store, encoder.group, enc_grads))
-        if record is not None and config.checkpoint_every \
-                and t % config.checkpoint_every == 0:
+        if record is not None and t % config.checkpoint_every == 0:
             record.checkpoint(log, store, adam_states, config.seed, t)
     return log
 
@@ -289,20 +292,20 @@ def save_checkpoint(path, store: ParamStore, adam_states: dict[str, AdamState],
 
 
 def load_checkpoint(path) -> Checkpoint:
-    r = read_file(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-    seed = r.u64()
-    t = r.u64()
-    groups = {}
-    for _ in range(r.u16()):
-        name = r.string()
-        hyper = dict(lr=r.f64(), beta1=r.f64(), beta2=r.f64(), eps=r.f64())
-        gt = r.u64()
-        params = {}
-        for _ in range(r.u32()):
-            pid = r.string()
-            params[pid] = (r.tensor(), r.tensor(), r.tensor())
-        groups[name] = dict(hyper=hyper, t=gt, params=params)
-    r.finish()
+    with read_file(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as r:
+        seed = r.u64()
+        t = r.u64()
+        groups = {}
+        for _ in range(r.u16()):
+            name = r.string()
+            hyper = dict(lr=r.f64(), beta1=r.f64(), beta2=r.f64(), eps=r.f64())
+            gt = r.u64()
+            params = {}
+            for _ in range(r.u32()):
+                pid = r.string()
+                params[pid] = (r.tensor(), r.tensor(), r.tensor())
+            groups[name] = dict(hyper=hyper, t=gt, params=params)
+        r.finish()
     return Checkpoint(seed=seed, t=t, groups=groups)
 
 
@@ -332,39 +335,63 @@ def apply_checkpoint(ck: Checkpoint, store: ParamStore,
 # ---------------------------------------------------------------------------
 # gradient-trace persistence (exact or sketch vectors for cmd_diagnose)
 
-def _write_entries(w: BlockWriter, entries: list, stored_dim: int) -> None:
-    w.tensor(np.array([e[0] for e in entries], dtype=np.int32))
-    w.tensor(np.array([e[1] for e in entries], dtype=np.int32))
-    w.tensor(np.stack([e[2] for e in entries]) if entries else np.zeros((0, stored_dim)))
+def _write_rows(w: BlockWriter, ts: list[int], tasks: list[int], dim: int, vecs) -> None:
+    """The t and task tensors of the rows, then their vectors as one (rows, dim)
+    tensor, streamed from the arrays `vecs` yields."""
+    w.tensor(np.array(ts, dtype=np.int32))
+    w.tensor(np.array(tasks, dtype=np.int32))
+    w.tensor_rows(len(ts), dim, vecs)
 
 
-def _read_entries(r, n: int | None = None) -> list:
-    """(t, task, vector) rows from the t, task and vector tensors `_write_entries` wrote."""
-    ts, tasks, vecs = r.tensor(), r.tensor(), r.tensor()
-    r.finish()
-    if n is not None and not len(ts) == len(tasks) == len(vecs) == n:
-        raise FileFormatError(f"{r.source}: {n} entries, but tensors of {len(ts)}, "
-                              f"{len(tasks)} and {len(vecs)} rows")
-    return [(int(ts[i]), int(tasks[i]), vecs[i]) for i in range(len(ts))]
+def _frame_index(r) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """A journal frame's t and task tensors and the shape of its vectors, which
+    are read past, not kept."""
+    return r.tensor(), r.tensor(), r.skip_tensor()
 
 
-def save_trace(path, trace: GradTrace) -> None:
+def _frame_vectors(r) -> np.ndarray:
+    r.tensor()
+    r.tensor()
+    return r.tensor()
+
+
+def save_trace(path, trace: GradTrace, journal=None) -> None:
+    """Write the trace file: the rows of the `journal` file's frames, when one
+    is given, then `trace.entries`. The journal is read twice, for the t and
+    task tensors and then for the vectors, which go to the file one frame at
+    a time, so the trace is never held in memory whole."""
+    ts, tasks = [], []
+    if journal is not None:
+        for (f_ts, f_tasks, _), _ in read_frames(journal, JOURNAL_MAGIC, JOURNAL_VERSION,
+                                                 _frame_index):
+            ts += f_ts.tolist()
+            tasks += f_tasks.tolist()
+    journal_vecs = [] if journal is None else (
+        vecs for vecs, _ in read_frames(journal, JOURNAL_MAGIC, JOURNAL_VERSION,
+                                        _frame_vectors))
     w = BlockWriter(TRACE_MAGIC, TRACE_VERSION)
     w.u16(trace.num_tasks)
     w.u32(trace.dim)
     w.string(trace.mode)
     w.u32(trace.sketch_dim)
     w.u64(trace.sketch_seed)
-    w.u32(len(trace.entries))
-    _write_entries(w, trace.entries, trace.stored_dim)
+    w.u32(len(ts) + len(trace.entries))
+    _write_rows(w, ts + [e[0] for e in trace.entries], tasks + [e[1] for e in trace.entries],
+                trace.stored_dim, chain(journal_vecs, (e[2] for e in trace.entries)))
     w.save(path)
 
 
 def load_trace(path) -> GradTrace:
-    r = read_file(path, TRACE_MAGIC, TRACE_VERSION)
-    trace = GradTrace(num_tasks=r.u16(), dim=r.u32(), mode=r.string(),
-                      sketch_dim=r.u32(), sketch_seed=r.u64())
-    trace.entries = _read_entries(r, r.u32())
+    with read_file(path, TRACE_MAGIC, TRACE_VERSION) as r:
+        trace = GradTrace(num_tasks=r.u16(), dim=r.u32(), mode=r.string(),
+                          sketch_dim=r.u32(), sketch_seed=r.u64())
+        n = r.u32()
+        ts, tasks, vecs = r.tensor(), r.tensor(), r.tensor()
+        r.finish()
+    if not len(ts) == len(tasks) == len(vecs) == n:
+        raise FileFormatError(f"{path}: {n} entries, but tensors of {len(ts)}, "
+                              f"{len(tasks)} and {len(vecs)} rows")
+    trace.entries = list(zip(ts.tolist(), tasks.tolist(), vecs))
     return trace
 
 
@@ -380,9 +407,11 @@ class RunRecord:
     save, and a save that fails can tear only the slot being written. Before
     each save, the records since the previous one are appended to
     train_log.csv, which is its own journal, and the trace rows to the trace
-    journal as one length-prefixed, CRC-checked frame. `resume` cuts both
-    back to the slot's t; `finish` deletes the journal and the older slot
-    once the run's final files are written.
+    journal as one length-prefixed, CRC-checked frame, after which the trace
+    drops them from memory: the journal holds rows 1..`journaled`, the trace
+    the rows since. `resume` cuts both files back to the slot's t; `finish`
+    deletes the journal and the older slot once the run's final files are
+    written.
     """
 
     def __init__(self, out_dir, log_every: int):
@@ -396,7 +425,7 @@ class RunRecord:
         self.config_path = out_dir / CONFIG_FILE
         self._next = 0        # the slot saved to next, the older one
         self._logged = 0      # log.records already in train_log.csv
-        self._journaled = 0   # log.trace entries already in the journal
+        self.journaled = 0    # trace rows in the journal
 
     def clear(self) -> None:
         """Delete what an earlier run left here, so that nothing resumes from it."""
@@ -416,17 +445,20 @@ class RunRecord:
                    adam_states: dict[str, AdamState], seed: int, t: int) -> None:
         """Journal the run up to t, then save it to the older slot."""
         self.append_log(log)
-        if log.trace is not None and len(log.trace.entries) > self._journaled:
-            self._append_trace(log.trace, self._journaled)
-            self._journaled = len(log.trace.entries)
+        if log.trace is not None and log.trace.entries:
+            self._append_rows(log.trace.entries, log.trace.stored_dim, self.journal)
+            self.journaled += len(log.trace.entries)
+            log.trace.entries.clear()
         save_checkpoint(self.slots[self._next], store, adam_states, seed, t, in_place=True)
         self._next = 1 - self._next
 
-    def _append_trace(self, trace: GradTrace, start: int, path=None) -> None:
-        """Append trace entries `start:` to the journal as one frame."""
+    @staticmethod
+    def _append_rows(entries: list, stored_dim: int, path) -> None:
+        """Append trace entries to the journal at `path` as one frame."""
         w = BlockWriter(JOURNAL_MAGIC, JOURNAL_VERSION)
-        _write_entries(w, trace.entries[start:], trace.stored_dim)
-        append_frame(path or self.journal, w)
+        _write_rows(w, [e[0] for e in entries], [e[1] for e in entries], stored_dim,
+                    (e[2] for e in entries))
+        append_frame(path, w)
 
     def finish(self) -> None:
         """Delete the trace journal and the older slot; call once the final
@@ -438,28 +470,32 @@ class RunRecord:
         """Continue the record of the run in `slots[slot]`, which is at iteration t.
 
         train_log.csv is cut after its last row with an iteration <= t. The
-        trace rows 1..t go into `trace`: from the journal's frames up to t,
-        which are all the journal keeps, or, when there is no journal, from
-        a finished run's trace file, which then seeds a new journal. Every
-        file is checked before any is cut: one that does not reach t is a
-        FileFormatError naming it.
+        journal must hold the trace rows 1..t: its frames up to t are checked
+        for their row counts and vector lengths without keeping the vectors.
+        When there is no journal, a finished run's trace file gives the rows
+        and seeds a new journal. `trace` stays empty; `save_trace` takes the
+        rows from the journal. Every file is checked before any is cut: one
+        that does not reach t is a FileFormatError naming it.
         """
         log_end = self._log_end(t)
         if trace is not None:
             if self.journal.exists():
-                frames = [(_read_entries(r), end) for r, end in
-                          read_frames(self.journal, JOURNAL_MAGIC, JOURNAL_VERSION)]
-                frames = [(f, end) for f, end in frames if all(e[0] <= t for e in f)]
+                frames = [(f, end) for f, end in
+                          read_frames(self.journal, JOURNAL_MAGIC, JOURNAL_VERSION,
+                                      _frame_index) if (f[0] <= t).all()]
                 source, journal_end = self.journal, frames[-1][1] if frames else 0
-                rows = [e for f, _ in frames for e in f]
+                shapes = [(len(ts), shape) for (ts, _, shape), _ in frames]
+                rows = sum(n for n, _ in shapes)
+                fits = all(shape == (n, trace.stored_dim) for n, shape in shapes)
             else:
                 source, journal_end = self.trace_path, None
-                rows = [e for e in load_trace(source).entries if e[0] <= t]
-            if len(rows) != t or any(len(e[2]) != trace.stored_dim for e in rows):
+                kept = [e for e in load_trace(source).entries if e[0] <= t]
+                rows = len(kept)
+                fits = all(len(e[2]) == trace.stored_dim for e in kept)
+            if rows != t or not fits:
                 raise FileFormatError(
-                    f"{source}: cannot resume from iteration {t}: it holds {len(rows)} "
+                    f"{source}: cannot resume from iteration {t}: it holds {rows} "
                     f"trace rows up to it, not {t} rows of {trace.stored_dim} values")
-            trace.entries = rows
 
         if log_end < os.path.getsize(self.log_path):
             os.truncate(self.log_path, log_end)
@@ -467,12 +503,12 @@ class RunRecord:
             # a journal seeded from the trace file appears whole or not at all
             tmp = self.journal.with_name(self.journal.name + ".tmp")
             tmp.unlink(missing_ok=True)
-            self._append_trace(trace, 0, tmp)
+            self._append_rows(kept, trace.stored_dim, tmp)
             os.replace(tmp, self.journal)
         elif trace is not None and journal_end < os.path.getsize(self.journal):
             os.truncate(self.journal, journal_end)
         self._next = 1 - slot
-        self._journaled = t
+        self.journaled = t
 
     def _log_end(self, t: int) -> int:
         """Offset in train_log.csv just past its last row with an iteration <= t."""

@@ -460,6 +460,26 @@ def test_relu_bounds():
     assert np.all(out[pos] <= x[pos])
 
 
+@pytest.mark.parametrize("broadcast", [False, True], ids=["array", "broadcast-view"])
+def test_relu_backward_is_the_masked_product_in_a_new_array(broadcast):
+    rng = np.random.default_rng(14)
+    x = rng.uniform(-1, 1, (2, 3, 4, 4))
+    x[0, 0, 0, :2] = 0.0, -0.0
+    g = rng.uniform(-1, 1, (2, 3, 4, 4))
+    g[0, 0, 0, 2:] = 0.0, -0.0
+    if broadcast:  # as global_avg_pool's backward hands it on, read-only
+        g = np.broadcast_to(g[:, :, :1, :1], g.shape)
+    before = g.copy()
+    graph = Graph()
+    out = relu(graph.param("x", Tensor(x)))
+    (dx,) = graph._nodes[out.node_id].backward_fn(g, (True,))
+    # the same bytes as g * (x > 0), signed zeros included, and g is untouched
+    assert dx.tobytes() == (g * (x > 0)).tobytes()
+    assert np.signbit(dx).any() and (dx == 0).any()
+    assert not np.shares_memory(dx, g)
+    assert g.tobytes() == before.tobytes()
+
+
 def test_backward_deterministic_bit_identical():
     rng = np.random.default_rng(13)
     x = rng.uniform(-1, 1, (2, 3, 5, 5))

@@ -648,3 +648,108 @@ def test_eval_names_task_and_example_of_gt_id_without_class(tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 3
     err = capsys.readouterr().err
     assert str(path) in err and f"example {bad}: id map" in err
+
+
+SKETCHED = [{"type": "conv", "filters": 16, "kernel": 3, "padding": 1}, {"type": "relu"},
+            {"type": "conv", "filters": 32, "kernel": 3, "stride": 2, "padding": 1},
+            {"type": "relu"}, {"type": "gap"}]  # 5088 encoder parameters > 4096
+
+
+def _trace_from_memory(cfg_path, path):
+    """save_trace of the whole trace of an uninterrupted train() without a record."""
+    from mtlab.config import load_config
+
+    cfg = load_config(cfg_path)
+    tasks = cli._load_manifest_tasks(cfg)
+    store, enc, decs, states = cli._build_models(cfg, tasks)
+    tcfg = trainer.TrainConfig(iterations=cfg.iterations, batch_size=cfg.batch_size,
+                               seed=cfg.seed, diagnostics=cfg.diagnostics)
+    log = trainer.train(tasks, enc, decs, store, states, cli._sampler(cfg, len(tasks)), tcfg)
+    trainer.save_trace(path, log.trace)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sketch"])
+@pytest.mark.parametrize("run", ["shorter-than-a-checkpoint", "checkpoint-multiple",
+                                 "rows-past-the-last-checkpoint", "resume-from-slot",
+                                 "resume-from-finished-run"])
+def test_final_trace_has_the_bytes_of_the_trace_saved_from_memory(tmp_path, monkeypatch,
+                                                                   mode, run):
+    overrides = {"shorter-than-a-checkpoint": dict(iterations=15, checkpoint_every=20),
+                 "checkpoint-multiple": dict(iterations=40, checkpoint_every=20),
+                 "rows-past-the-last-checkpoint": dict(iterations=40, checkpoint_every=15),
+                 "resume-from-slot": dict(iterations=40, checkpoint_every=10),
+                 "resume-from-finished-run": dict(iterations=20, checkpoint_every=10)}[run]
+    cfg, out = _small_config(tmp_path, diagnostics=mode,
+                             **({"encoder": SKETCHED} if mode == "sketch" else {}), **overrides)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    if run == "resume-from-slot":
+        with monkeypatch.context() as m:
+            _crash_at(m, 25)
+            assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 4
+        assert (out / "grad_trace.journal").exists()
+    else:
+        assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    if run == "resume-from-finished-run":
+        payload = json.loads(cfg.read_text())
+        payload["iterations"] = 40
+        cfg.write_text(json.dumps(payload))
+    if run.startswith("resume"):
+        assert main(["train", "--config", str(cfg), "--no-timestamp", "--resume"]) == 0
+    assert not (out / "grad_trace.journal").exists()
+    _trace_from_memory(cfg, tmp_path / "from_memory.mtlg")
+    assert (out / "grad_trace.mtlg").read_bytes() == (tmp_path / "from_memory.mtlg").read_bytes()
+    assert trainer.load_trace(out / "grad_trace.mtlg").stored_dim == \
+        (4096 if mode == "sketch" else 6 * 27 + 6)
+
+
+def test_generate_saves_each_dataset_before_generating_the_next(tmp_path, monkeypatch):
+    cfg, out = _small_config(tmp_path)
+    saved_before = []
+    for name in ("gen_classification_task", "gen_segmentation_task"):
+        gen = getattr(cli, name)
+
+        def counting(*args, _gen=gen, **kwargs):
+            saved_before.append(len(list((out / "data").glob("*.mtld"))))
+            return _gen(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert saved_before == [0, 1]
+
+
+@pytest.mark.parametrize("change", ["regenerated", "edited"])
+def test_resume_on_other_datasets_is_a_data_error_naming_the_file(tmp_path, capsys, change):
+    cfg, out = _small_config(tmp_path, iterations=20, checkpoint_every=10)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    manifest = json.loads((out / "data" / "manifest.json").read_text())
+    if change == "regenerated":  # the same suite from another seed: every file differs
+        assert main(["generate", "--config", str(cfg), "--seed", "6", "--no-timestamp"]) == 0
+        name = manifest["tasks"][0]["path"]
+    else:  # one input value of the second task, written back as a valid file
+        name = manifest["tasks"][1]["path"]
+        ds = load_dataset(out / "data" / name)
+        ds.inputs[0, 0, 0, 0] += 1.0
+        save_dataset(out / "data" / name, ds)
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    payload = json.loads(cfg.read_text())
+    payload["iterations"] = 30
+    cfg.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--no-timestamp", "--resume"]) == 3
+    err = capsys.readouterr().err
+    assert name in err and "CRC32" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
+
+def test_config_used_records_each_datasets_crc32_trailer(tmp_path):
+    cfg, out = _small_config(tmp_path, iterations=3)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    used = json.loads((out / "config_used.json").read_text())
+    names = [e["path"] for e in json.loads((out / "data" / "manifest.json").read_text())["tasks"]]
+    assert used["dataset_crc32"] == {
+        name: int.from_bytes((out / "data" / name).read_bytes()[-4:], "little")
+        for name in names}
+    del used["dataset_crc32"]
+    assert used == json.loads(json.dumps(cli.load_config(cfg).raw))

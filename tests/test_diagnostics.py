@@ -9,10 +9,25 @@ from mtlab.diagnostics import (
     concentration_experiment,
     concentration_sample,
     consecutive_trace,
-    cosine_distance,
-    cosine_similarity,
     pairwise_matrix,
 )
+
+
+def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
+    """<u,v> / (|u| |v|); rejects zero vectors. The reference for the series."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"vectors have different shapes: {u.shape} vs {v.shape}")
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise ValueError("cosine similarity undefined for zero vectors")
+    return float(np.dot(u, v) / (nu * nv))
+
+
+def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
+    return 1.0 - cosine_similarity(u, v)
 
 
 def _trace(entries, k=3, dim=4):

@@ -30,6 +30,18 @@ from mtlab.tensorio import (
 )
 
 
+def _equal(a, b) -> bool:
+    """Same spec, seed, split, inputs and targets."""
+    if a.spec != b.spec or a.seed != b.seed:
+        return False
+    if not (np.array_equal(a.split, b.split) and np.array_equal(a.inputs, b.inputs)):
+        return False
+    if a.spec.kind == KIND_INSTANCE_SEG:
+        return (np.array_equal(a.targets.ids, b.targets.ids)
+                and np.array_equal(a.targets.labels, b.targets.labels))
+    return np.array_equal(a.targets, b.targets)
+
+
 def test_task_spec_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown task kind"):
         TaskSpec(0, "bad", "regression", 3, (3, 8, 8))
@@ -62,9 +74,9 @@ def test_classification_zero_difficulty_is_exactly_separable():
 def test_classification_deterministic():
     a = gen_classification_task(4, (3, 8, 8), 32, 16, 0.5, seed=9)
     b = gen_classification_task(4, (3, 8, 8), 32, 16, 0.5, seed=9)
-    assert a.equals(b)
+    assert _equal(a, b)
     c = gen_classification_task(4, (3, 8, 8), 32, 16, 0.5, seed=10)
-    assert not a.equals(c)
+    assert not _equal(a, c)
 
 
 def test_classification_label_balance():
@@ -192,7 +204,7 @@ def test_dataset_round_trip(tmp_path, make):
     path = tmp_path / "task.mtld"
     save_dataset(path, ds)
     loaded = load_dataset(path)
-    assert loaded.equals(ds)
+    assert _equal(loaded, ds)
     assert loaded.spec == ds.spec
 
 
@@ -387,7 +399,7 @@ def test_mask_round_trip(tmp_path):
 # default suite
 
 def test_default_suite_shape():
-    tasks = default_suite(seed=77, n_train=16, n_eval=8)
+    tasks = list(default_suite(seed=77, n_train=16, n_eval=8))
     assert len(tasks) == 11
     ks = [t.spec.num_classes for t in tasks[:7]]
     assert tuple(ks) == CLASSIFICATION_ARITIES
@@ -400,4 +412,4 @@ def test_default_suite_shape():
 def test_default_suite_deterministic():
     a = default_suite(seed=5, n_train=16, n_eval=8)
     b = default_suite(seed=5, n_train=16, n_eval=8)
-    assert all(x.equals(y) for x, y in zip(a, b))
+    assert all(_equal(x, y) for x, y in zip(a, b))

@@ -388,16 +388,16 @@ def test_read_frames_stops_at_a_cut_or_damaged_frame(tmp_path):
         w.u32(v)
         append_frame(path, w)
     raw = path.read_bytes()
-    frames = read_frames(path, b"MTLJ", 1)
-    assert [r.u32() for r, _ in frames] == [0, 1, 2]
+    frames = list(read_frames(path, b"MTLJ", 1, lambda r: r.u32()))
+    assert [v for v, _ in frames] == [0, 1, 2]
     assert [end for _, end in frames] == [18, 36, 54] and len(raw) == 54
 
     path.write_bytes(raw[:50])   # an append that stopped midway
-    assert [end for _, end in read_frames(path, b"MTLJ", 1)] == [18, 36]
+    assert [end for _, end in read_frames(path, b"MTLJ", 1, lambda r: r.u32())] == [18, 36]
     garbled = bytearray(raw)
     garbled[18 + 4 + 6] ^= 1     # the second frame's payload
     path.write_bytes(bytes(garbled))
-    assert [end for _, end in read_frames(path, b"MTLJ", 1)] == [18]
+    assert [end for _, end in read_frames(path, b"MTLJ", 1, lambda r: r.u32())] == [18]
 
 
 def test_checkpoint_group_mismatch_rejected(tmp_path):
@@ -439,3 +439,36 @@ def test_periodic_checkpoints_written(tmp_path):
     assert [load_checkpoint(p).t for p in record.slots] == [4, 8]
     lines = record.log_path.read_text().splitlines()
     assert [int(line.split(",")[0]) for line in lines] == list(range(1, 9))
+
+
+@pytest.mark.parametrize("mode", ["exact", "sketch"])
+def test_journaled_trace_vectors_are_not_held(tmp_path, monkeypatch, mode):
+    import weakref
+
+    from mtlab.diagnostics import GradTrace
+    from mtlab.trainer import JOURNAL_MAGIC, JOURNAL_VERSION, RunRecord, read_frames
+
+    refs = []
+    append = GradTrace.append
+
+    def keeping_refs(self, t, task, vec):
+        append(self, t, task, vec)
+        refs.append(weakref.ref(self.entries[-1][2]))
+
+    monkeypatch.setattr(GradTrace, "append", keeping_refs)
+    tasks = _suite(seed=83)
+    layers = [Conv(16, 3, padding=1), Activation("relu"),
+              Conv(32, 3, stride=2, padding=1), Activation("relu"), GlobalAvgPool()]
+    store, enc, decs, states = _models(tasks, seed=84, layers=layers)
+    record = RunRecord(tmp_path, log_every=1)
+    cfg = TrainConfig(iterations=10, batch_size=2, seed=85, checkpoint_every=4,
+                      diagnostics=mode)
+    log = train(tasks, enc, decs, store, states, SamplerConfig.uniform(3), cfg, record=record)
+    assert log.trace.stored_dim == (4096 if mode == "sketch" else store.total_size(enc.group))
+    # rows 1..8 went to the journal at t=4 and t=8 and left memory; 9 and 10 did not
+    assert [r() is None for r in refs] == [True] * 8 + [False] * 2
+    assert [e[0] for e in log.trace.entries] == [9, 10] and record.journaled == 8
+    frames = read_frames(record.journal, JOURNAL_MAGIC, JOURNAL_VERSION,
+                         lambda r: (r.tensor().tolist(), r.tensor(), r.tensor().shape))
+    assert [(ts, shape) for (ts, _, shape), _ in frames] == [
+        ([1, 2, 3, 4], (4, log.trace.stored_dim)), ([5, 6, 7, 8], (4, log.trace.stored_dim))]
