@@ -25,14 +25,15 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .diagnostics import concentration_experiment, consecutive_trace, pairwise_matrix
 from .metrics import (MaskError, accuracy, connected_components,
                       instances_from_class_map, panoptic_quality, rolling_mean)
-from .model import ParamStore, build_encoder, forward_task
+from .model import ModelSpecError, ParamStore, build_encoder, forward_task
 from .tasks import (KIND_BINARY_SEG, KIND_CLASSIFICATION, TaskDataset, _task_seed,
-                    default_suite, gen_classification_task, gen_segmentation_task,
-                    load_dataset, load_mask, save_dataset)
+                    gen_classification_task, gen_segmentation_task, load_dataset, load_mask,
+                    save_dataset)
 from .tensorio import FileFormatError
-from .trainer import (Checkpoint, RunRecord, SamplerConfig, TrainConfig, apply_checkpoint,
-                      build_decoders, init_adam_states, load_checkpoint, load_trace,
-                      new_log, save_checkpoint, save_trace, train)
+from .trainer import (FINAL_CHECKPOINT_FILE, LOG_FILE, TRACE_FILE, Checkpoint, RunRecord,
+                      SamplerConfig, TrainConfig, apply_checkpoint, build_decoders,
+                      init_adam_states, load_checkpoint, load_trace, new_log,
+                      save_checkpoint, save_trace, train)
 
 
 class DataError(RuntimeError):
@@ -87,25 +88,16 @@ def _fmt(v: float) -> str:
 
 def build_suite(cfg: ExperimentConfig) -> Iterator[TaskDataset]:
     """The configured suite's datasets, generated one at a time as it is iterated."""
-    suite = cfg.suite
-    if "tasks" not in suite:
-        yield from default_suite(cfg.seed, n_train=int(suite.get("n_train", 128)),
-                                 n_eval=int(suite.get("n_eval", 64)))
-        return
-    for i, entry in enumerate(suite["tasks"]):
+    for i, task in enumerate(cfg.suite):
         seed = _task_seed(cfg.seed, i)
-        n_train = int(entry.get("n_train", 128))
-        n_eval = int(entry.get("n_eval", 64))
-        if entry["kind"] == KIND_CLASSIFICATION:
+        if task["kind"] == KIND_CLASSIFICATION:
             yield gen_classification_task(
-                int(entry["num_classes"]), tuple(entry.get("input_shape", (3, 32, 32))),
-                n_train, n_eval, float(entry.get("difficulty", 0.35)), seed,
-                task_id=i, name=entry.get("name"))
+                task["num_classes"], task["input_shape"], task["n_train"], task["n_eval"],
+                task["difficulty"], seed, task_id=i, name=task["name"])
         else:
             yield gen_segmentation_task(
-                entry["kind"], int(entry.get("image_size", 32)),
-                int(entry.get("max_instances", 3)), int(entry.get("num_classes", 1)),
-                n_train, n_eval, seed, task_id=i, name=entry.get("name"))
+                task["kind"], task["image_size"], task["max_instances"], task["num_classes"],
+                task["n_train"], task["n_eval"], seed, task_id=i, name=task["name"])
 
 
 def _manifest_files(cfg: ExperimentConfig) -> list[tuple[str, Path]]:
@@ -140,8 +132,13 @@ def _load_manifest_tasks(cfg: ExperimentConfig) -> list[TaskDataset]:
 def _build_models(cfg: ExperimentConfig, tasks: list[TaskDataset]):
     store = ParamStore()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
-    encoder = build_encoder(cfg.encoder, tasks[0].spec.input_shape, store, rng)
-    decoders = build_decoders(tasks, encoder, store, rng)
+    shape = tasks[0].spec.input_shape
+    try:
+        encoder = build_encoder(cfg.encoder, shape, store, rng)
+        decoders = build_decoders(tasks, encoder, store, rng)
+    except ModelSpecError as exc:
+        raise ConfigError(f"encoder does not fit the suite's input shape {shape}: "
+                          f"{exc}") from None
     states = init_adam_states(store, **cfg.adam)
     return store, encoder, decoders, states
 
@@ -326,7 +323,7 @@ def cmd_train(cfg: ExperimentConfig, timestamp: bool, resume: bool) -> int:
 def cmd_eval(cfg: ExperimentConfig, timestamp: bool, checkpoint: Path | None) -> int:
     tasks = _load_manifest_tasks(cfg)
     store, encoder, decoders, states = _build_models(cfg, tasks)
-    ck_path = checkpoint or cfg.out_dir / "checkpoint_final.mtlc"
+    ck_path = checkpoint or cfg.out_dir / FINAL_CHECKPOINT_FILE
     if not ck_path.exists():
         raise DataError(f"checkpoint {ck_path} does not exist")
     ck = load_checkpoint(ck_path)
@@ -367,13 +364,13 @@ def _read_train_log(path: Path):
 
 
 def cmd_diagnose(cfg: ExperimentConfig, timestamp: bool, window: int) -> int:
-    trace_path = cfg.out_dir / "grad_trace.mtlg"
+    trace_path = cfg.out_dir / TRACE_FILE
     if not trace_path.exists():
         raise DataError(
             f"no gradient trace at {trace_path}: the run had diagnostics "
             f"disabled (config diagnostics='off')")
     trace = load_trace(trace_path)
-    ts, task_ids, losses = _read_train_log(cfg.out_dir / "train_log.csv")
+    ts, task_ids, losses = _read_train_log(cfg.out_dir / LOG_FILE)
 
     out = cfg.out_dir / "diagnostics"
     smoothed = rolling_mean(losses, window)
@@ -391,12 +388,8 @@ def cmd_diagnose(cfg: ExperimentConfig, timestamp: bool, window: int) -> int:
 
     matrix = pairwise_matrix(pairs, trace.num_tasks, window=window)
     k = trace.num_tasks
-    rows = []
-    for i in range(k):
-        for j in range(k):
-            absent = matrix.counts[i, j] == 0
-            rows.append((i, j, "" if absent else _fmt(matrix.values[i, j]),
-                         int(matrix.counts[i, j])))
+    rows = [(i, j, _fmt(matrix.values[i, j]) if matrix.counts[i, j] else "",
+             int(matrix.counts[i, j])) for i in range(k) for j in range(k)]
     _csv_writer(out / "pairwise_matrix.csv",
                 ["task_prev", "task_curr", "mean_cos_distance", "samples"],
                 rows, timestamp)

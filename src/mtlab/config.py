@@ -1,18 +1,20 @@
 """Experiment configuration: one JSON document defines a whole run.
 
 Validation happens before any side effect, so an invalid config never
-leaves partial outputs behind.
+leaves partial outputs behind. Each value is read once, its JSON type and
+range checked; a ConfigError names the key and its task or layer index.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .autodiff import _ACTIVATIONS
 from .model import Activation, Conv, Dense, GlobalAvgPool
-from .tasks import (CLASSIFICATION_ARITIES, KIND_BINARY_SEG, KIND_CLASSIFICATION,
-                    KIND_INSTANCE_SEG)
+from .tasks import KIND_BINARY_SEG, KIND_CLASSIFICATION, KIND_INSTANCE_SEG
 
 
 class ConfigError(ValueError):
@@ -39,12 +41,32 @@ DEFAULTS = {
     "diagnostics": "exact",
 }
 
+# Each key a suite.tasks entry of each kind may give besides `kind`, `name`,
+# `n_train` and `n_eval`, as (default, least value); a key whose default is
+# None must be given. `n_train` and `n_eval` default to the suite's, and
+# `name` to the generator's (patch_k<K>_t<i>, shapes_binary_t<i>, ...).
+_SEG_KEYS = {"image_size": (32, 8), "max_instances": (3, 1)}
+TASK_KEYS = {
+    KIND_CLASSIFICATION: {"num_classes": (None, 2), "input_shape": ((3, 32, 32), 1),
+                          "difficulty": (0.35, 0.0)},
+    KIND_INSTANCE_SEG: {"num_classes": (None, 1), **_SEG_KEYS},
+    KIND_BINARY_SEG: {"num_classes": (1, 1), **_SEG_KEYS},
+}
+
+# The paper's task mix, which the preset "default" stands for: seven
+# classification arities, one instance task and three binary tasks.
+CLASSIFICATION_ARITIES = (2, 9, 6, 3, 4, 3, 5)
+PRESET_TASKS = (
+    [{"kind": KIND_CLASSIFICATION, "num_classes": k} for k in CLASSIFICATION_ARITIES]
+    + [{"kind": KIND_INSTANCE_SEG, "num_classes": 3, "name": "shapes_instance"}]
+    + [{"kind": KIND_BINARY_SEG, "name": f"shapes_binary_{j}"} for j in range(3)])
+
 
 @dataclass
 class ExperimentConfig:
     seed: int
     out_dir: Path
-    suite: dict
+    suite: list[dict]  # every task entry, the preset expanded and each key filled
     encoder: list
     alpha: str | list[float]
     iterations: int
@@ -53,7 +75,7 @@ class ExperimentConfig:
     log_every: int
     checkpoint_every: int
     diagnostics: str
-    raw: dict = field(repr=False, default_factory=dict)
+    raw: dict = field(repr=False, default_factory=dict)  # as merged, the suite unexpanded
 
     @property
     def data_dir(self) -> Path:
@@ -69,51 +91,87 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _int(what: str, value, least: int) -> int:
+    """`value` if it is a JSON integer >= least."""
+    _require(type(value) is int and value >= least,
+             f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _number(what: str, value, low: float, high: float = math.inf, above: bool = False):
+    """`value` as a float if it is a JSON number >= low (> low if `above`) and < high."""
+    _require(type(value) in (int, float) and (value > low if above else value >= low)
+             and value < high, f"{what} must be a number {'>' if above else '>='} {low:g}"
+             f"{f' and < {high:g}' if high < math.inf else ''}, got {value!r}")
+    return float(value)
+
+
 def parse_encoder_spec(items) -> list:
     """Config encoder entries to model layer specs."""
+    _require(isinstance(items, list), f"encoder must be a list of layers, got {items!r}")
     layers = []
     for i, item in enumerate(items):
+        where = f"encoder layer {i}: "
+        _require(isinstance(item, dict), f"encoder layer {i} must be an object, got {item!r}")
         kind = item.get("type")
         if kind == "conv":
-            _require("filters" in item and "kernel" in item,
-                     f"encoder layer {i}: conv needs filters and kernel")
-            layers.append(Conv(int(item["filters"]), int(item["kernel"]),
-                               stride=int(item.get("stride", 1)),
-                               padding=int(item.get("padding", 0)),
-                               in_channels=item.get("in_channels")))
-        elif kind in ("relu", "sigmoid", "softmax"):
-            layers.append(Activation(kind))
+            # (key, default, least value) of Conv's first four fields
+            sizes = (_int(where + key, item.get(key, default), least) for key, default, least
+                     in (("filters", None, 1), ("kernel", None, 1), ("stride", 1, 1),
+                         ("padding", 0, 0)))
+            ch = item.get("in_channels")
+            layers.append(Conv(*sizes, ch if ch is None else _int(where + "in_channels", ch, 1)))
         elif kind == "gap":
             layers.append(GlobalAvgPool())
         elif kind == "dense":
-            _require("out_dim" in item, f"encoder layer {i}: dense needs out_dim")
-            layers.append(Dense(int(item["out_dim"])))
+            layers.append(Dense(_int(where + "out_dim", item.get("out_dim"), 1)))
+        elif isinstance(kind, str) and kind in _ACTIVATIONS:
+            layers.append(Activation(kind))
         else:
-            raise ConfigError(f"encoder layer {i}: unknown type {kind!r}")
+            raise ConfigError(f"{where}unknown type {kind!r}")
     return layers
 
 
-def _validate_task_entry(i, entry):
+def _task_entry(i: int, entry, splits: dict) -> dict:
+    """One suite.tasks entry with every key of its kind, each checked."""
+    where = f"suite task {i}: "
+    _require(isinstance(entry, dict), f"suite task {i} must be an object, got {entry!r}")
     kind = entry.get("kind")
-    _require(kind in (KIND_CLASSIFICATION, KIND_BINARY_SEG, KIND_INSTANCE_SEG),
-             f"suite task {i}: unknown kind {kind!r}")
-    n_train = int(entry.get("n_train", 128))
-    n_eval = int(entry.get("n_eval", 64))
-    _require(n_train >= 1 and n_eval >= 1, f"suite task {i}: need nonempty splits")
+    _require(isinstance(kind, str) and kind in TASK_KEYS, f"{where}unknown kind {kind!r}")
+    keys = {"name": ("", None), **{key: (n, 1) for key, n in splits.items()}, **TASK_KEYS[kind]}
+    unknown = set(entry) - {"kind", *keys}
+    _require(not unknown, f"{where}unknown keys {sorted(unknown)} for kind {kind}")
+    out = {"kind": kind}
+    for key, (default, least) in keys.items():
+        value, what = entry.get(key, default), where + key
+        if key == "name":
+            _require(isinstance(value, str), f"{what} must be a string, got {value!r}")
+        elif key == "input_shape":
+            _require(isinstance(value, (list, tuple)) and len(value) >= 2
+                     and all(type(d) is int and d >= least for d in value),
+                     f"{what} must be a list of 2 or more integers >= {least}, got {value!r}")
+        elif isinstance(least, float):
+            value = _number(what, value, least)
+        else:
+            _int(what, value, least)
+        out[key] = value
     if kind == KIND_CLASSIFICATION:
-        k = int(entry.get("num_classes", 0))
-        _require(k >= 2, f"suite task {i}: classification needs num_classes >= 2")
-        _require(n_train >= k, f"suite task {i}: n_train must cover every class")
-        _require(float(entry.get("difficulty", 0.35)) >= 0,
-                 f"suite task {i}: difficulty must be >= 0")
-    else:
-        _require(int(entry.get("image_size", 32)) >= 8,
-                 f"suite task {i}: image_size must be >= 8")
-        _require(int(entry.get("max_instances", 3)) >= 1,
-                 f"suite task {i}: max_instances must be >= 1")
-        if kind == KIND_INSTANCE_SEG:
-            _require(int(entry.get("num_classes", 0)) >= 1,
-                     f"suite task {i}: instance tasks need num_classes >= 1")
+        _require(out["n_train"] >= out["num_classes"], f"{where}n_train {out['n_train']} "
+                 f"does not cover the {out['num_classes']} classes")
+    return out
+
+
+def _suite_entries(suite) -> list[dict]:
+    """The suite's task entries: suite.tasks, or the preset's when it is not given."""
+    _require(isinstance(suite, dict), f"suite must be an object, got {suite!r}")
+    unknown = set(suite) - {*DEFAULTS["suite"], "tasks"}
+    _require(not unknown, f"unknown suite keys: {sorted(unknown)}")
+    splits = {key: _int(f"suite.{key}", suite[key], 1) for key in ("n_train", "n_eval")}
+    tasks = suite.get("tasks", PRESET_TASKS)
+    _require(isinstance(tasks, list) and tasks, "suite.tasks must be a non-empty list")
+    _require("tasks" in suite or suite["preset"] == "default",
+             f"suite needs either tasks or preset 'default', got {suite!r}")
+    return [_task_entry(i, entry, splits) for i, entry in enumerate(tasks)]
 
 
 def load_config(path=None, seed_override=None, out_override=None) -> ExperimentConfig:
@@ -142,56 +200,35 @@ def load_config(path=None, seed_override=None, out_override=None) -> ExperimentC
     if out_override is not None:
         merged["out_dir"] = str(out_override)  # raw is written back out as JSON
 
-    _require(isinstance(merged["seed"], int) and merged["seed"] >= 0,
-             "seed must be a nonnegative integer")
-    _require(int(merged["iterations"]) >= 0, "iterations must be >= 0")
-    _require(int(merged["batch_size"]) >= 1, "batch_size must be >= 1")
-    _require(int(merged["log_every"]) >= 1, "log_every must be >= 1")
-    _require(int(merged["checkpoint_every"]) >= 1, "checkpoint_every must be >= 1")
+    _require(isinstance(merged["out_dir"], str),
+             f"out_dir must be a string, got {merged['out_dir']!r}")
     _require(merged["diagnostics"] in ("off", "exact", "sketch"),
              f"diagnostics must be off/exact/sketch, got {merged['diagnostics']!r}")
-
     adam = merged["adam"]
-    _require(adam.get("lr", 0) > 0 and adam.get("eps", 0) > 0,
-             "adam lr and eps must be positive")
-    _require(0 <= adam.get("beta1", 0.9) < 1 and 0 <= adam.get("beta2", 0.999) < 1,
-             "adam betas must lie in [0, 1)")
-
-    suite = merged["suite"]
-    if "tasks" in suite:
-        _require(isinstance(suite["tasks"], list) and suite["tasks"],
-                 "suite.tasks must be a non-empty list")
-        for i, entry in enumerate(suite["tasks"]):
-            _validate_task_entry(i, entry)
-    else:
-        _require(suite.get("preset") == "default",
-                 f"suite needs either tasks or preset 'default', got {suite!r}")
-        most = max(CLASSIFICATION_ARITIES)
-        _require(int(suite.get("n_train", 128)) >= most,
-                 f"default suite needs n_train >= {most} (largest class count)")
-        _require(int(suite.get("n_eval", 64)) >= 1, "default suite needs n_eval >= 1")
-
+    _require(isinstance(adam, dict) and set(adam) == set(DEFAULTS["adam"]),
+             f"adam must be an object with keys among {sorted(DEFAULTS['adam'])}, "
+             f"got {adam!r}")
     alpha = merged["alpha"]
     if alpha != "uniform":
         _require(isinstance(alpha, list) and alpha, "alpha must be 'uniform' or a list")
-        _require(all(isinstance(p, (int, float)) and p >= 0 for p in alpha),
+        _require(all(type(p) in (int, float) and p >= 0 for p in alpha),
                  "alpha entries must be nonnegative numbers")
         _require(sum(alpha) > 0, "alpha must have positive mass")
 
-    encoder = parse_encoder_spec(merged["encoder"])
-
     return ExperimentConfig(
-        seed=int(merged["seed"]),
+        seed=_int("seed", merged["seed"], 0),
         out_dir=Path(merged["out_dir"]),
-        suite=suite,
-        encoder=encoder,
+        suite=_suite_entries(merged["suite"]),
+        encoder=parse_encoder_spec(merged["encoder"]),
         alpha=alpha,
-        iterations=int(merged["iterations"]),
-        batch_size=int(merged["batch_size"]),
-        adam={"lr": float(adam["lr"]), "beta1": float(adam["beta1"]),
-              "beta2": float(adam["beta2"]), "eps": float(adam["eps"])},
-        log_every=int(merged["log_every"]),
-        checkpoint_every=int(merged["checkpoint_every"]),
+        iterations=_int("iterations", merged["iterations"], 0),
+        batch_size=_int("batch_size", merged["batch_size"], 1),
+        adam={"lr": _number("adam.lr", adam["lr"], 0.0, above=True),
+              "beta1": _number("adam.beta1", adam["beta1"], 0.0, 1.0),
+              "beta2": _number("adam.beta2", adam["beta2"], 0.0, 1.0),
+              "eps": _number("adam.eps", adam["eps"], 0.0, above=True)},
+        log_every=_int("log_every", merged["log_every"], 1),
+        checkpoint_every=_int("checkpoint_every", merged["checkpoint_every"], 1),
         diagnostics=merged["diagnostics"],
         raw=merged,
     )

@@ -32,7 +32,6 @@ class PairwiseCosMatrix:
 
     values: np.ndarray
     counts: np.ndarray
-    window: float
 
 
 @dataclass
@@ -131,7 +130,7 @@ def pairwise_matrix(pairs: list[ConsecutivePair], num_tasks: int,
         w = len(dists) if math.isinf(window) else min(int(window), len(dists))
         values[i, j] = float(np.mean(dists[-w:]))
         counts[i, j] = len(dists)
-    return PairwiseCosMatrix(values, counts, window)
+    return PairwiseCosMatrix(values, counts)
 
 
 @dataclass(frozen=True)
@@ -141,8 +140,6 @@ class ConcentrationStat:
     std: float
     p05: float
     p95: float
-    hist_counts: np.ndarray
-    hist_edges: np.ndarray
 
 
 def concentration_sample(d: int, n_pairs: int, rng) -> np.ndarray:
@@ -158,8 +155,7 @@ def concentration_sample(d: int, n_pairs: int, rng) -> np.ndarray:
     return v0 / np.sqrt(v0 * v0 + rng.chisquare(d - 1, n_pairs))
 
 
-def concentration_experiment(dims, n_pairs: int, rng,
-                             bins: int = 51) -> list[ConcentrationStat]:
+def concentration_experiment(dims, n_pairs: int, rng) -> list[ConcentrationStat]:
     """Cosine similarity of independent standard-normal vector pairs per dim.
 
     The similarity concentrates around 0 with std 1/sqrt(d), so the
@@ -174,9 +170,7 @@ def concentration_experiment(dims, n_pairs: int, rng,
     out = []
     for d in dims:
         sims = concentration_sample(d, n_pairs, rng)
-        counts, edges = np.histogram(sims, bins=bins)
         out.append(ConcentrationStat(
             dim=d, mean=float(sims.mean()), std=float(sims.std()),
-            p05=float(np.percentile(sims, 5)), p95=float(np.percentile(sims, 95)),
-            hist_counts=counts, hist_edges=edges))
+            p05=float(np.percentile(sims, 5)), p95=float(np.percentile(sims, 95))))
     return out

@@ -125,7 +125,7 @@ def _propagate(layer, shape, index):
             raise ModelSpecError(f"layer {index}: degenerate output extent {ho}x{wo}")
         return (layer.filters, ho, wo)
     if isinstance(layer, Activation):
-        if layer.kind not in ("relu", "sigmoid", "softmax"):
+        if layer.kind not in ad._ACTIVATIONS:
             raise ModelSpecError(f"layer {index}: unknown activation {layer.kind!r}")
         return shape
     if isinstance(layer, GlobalAvgPool):

@@ -10,7 +10,6 @@ generation produce identical bytes.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,30 +275,6 @@ def _instances(id_maps: np.ndarray, tables: list[np.ndarray]) -> InstanceStack:
     """Instances whose example e labels its ids 1..k_e with the k_e classes tables[e]."""
     return InstanceStack.from_tables(id_maps, [t.size for t in tables],
                                      np.concatenate([np.zeros(0, np.int32), *tables]))
-
-
-# paper-style task mix: seven classification arities plus four segmentation tasks
-CLASSIFICATION_ARITIES = (2, 9, 6, 3, 4, 3, 5)
-DEFAULT_INPUT_SHAPE = (3, 32, 32)
-DEFAULT_DIFFICULTY = 0.35
-
-
-def default_suite(seed: int, n_train: int = 128, n_eval: int = 64) -> Iterator[TaskDataset]:
-    """The default eleven-task suite: 7 classification + 1 instance + 3 binary,
-    generated one task at a time as it is iterated."""
-    for tid, k in enumerate(CLASSIFICATION_ARITIES):
-        yield gen_classification_task(
-            k, DEFAULT_INPUT_SHAPE, n_train, n_eval, DEFAULT_DIFFICULTY,
-            seed=_task_seed(seed, tid), task_id=tid, name=f"patch_k{k}_t{tid}")
-    size = DEFAULT_INPUT_SHAPE[1]
-    yield gen_segmentation_task(
-        KIND_INSTANCE_SEG, size, 3, 3, n_train, n_eval,
-        seed=_task_seed(seed, 7), task_id=7, name="shapes_instance")
-    for j in range(3):
-        tid = 8 + j
-        yield gen_segmentation_task(
-            KIND_BINARY_SEG, size, 3, 1, n_train, n_eval,
-            seed=_task_seed(seed, tid), task_id=tid, name=f"shapes_binary_{j}")
 
 
 def _task_seed(seed: int, task_id: int) -> int:

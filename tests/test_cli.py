@@ -131,6 +131,47 @@ def test_invalid_config_leaves_no_outputs(tmp_path):
     assert not out.exists()
 
 
+CLS = {"kind": "classification", "num_classes": 3}
+
+
+@pytest.mark.parametrize("payload,words", [
+    ({"suite": "x"}, ["suite"]),
+    ({"suite": {"tasks": [CLS, 5]}}, ["suite task 1"]),
+    ({"suite": {"tasks": [{**CLS, "num_classes": "many"}]}}, ["suite task 0", "num_classes"]),
+    ({"suite": {"tasks": [CLS, {**CLS, "input_shape": [32]}]}}, ["suite task 1", "input_shape"]),
+    ({"suite": {"tasks": [{**CLS, "input_shape": [3, 0, 32]}]}}, ["suite task 0", "input_shape"]),
+    ({"suite": {"tasks": [{**CLS, "input_shape": "abc"}]}}, ["suite task 0", "input_shape"]),
+    ({"suite": {"tasks": [{"kind": "binary-segmentation", "n_train": "lots"}]}},
+     ["suite task 0", "n_train"]),
+    ({"suite": {"n_train": "lots"}}, ["suite.n_train"]),
+    ({"adam": {"lr": "fast"}}, ["adam.lr"]),
+    ({"iterations": "10"}, ["iterations"]),
+    ({"encoder": [{"type": "relu"}, {"type": "conv", "filters": 0, "kernel": 3}]},
+     ["encoder layer 1", "filters"]),
+    ({"encoder": [{"type": "conv", "filters": 4, "kernel": 3, "stride": 0}]},
+     ["encoder layer 0", "stride"]),
+])
+def test_malformed_config_is_a_config_error_naming_the_key(tmp_path, capsys, payload, words):
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_dir": str(out), **payload}))
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and all(w in err for w in words), err
+    assert not out.exists()
+
+
+def test_encoder_that_does_not_fit_the_input_is_a_config_error(tmp_path, capsys):
+    cfg, out = _small_config(tmp_path, encoder=[
+        {"type": "conv", "filters": 4, "kernel": 40}, {"type": "relu"}, {"type": "gap"}])
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    before = sorted(out.rglob("*"))
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "layer 0" in err, err
+    assert sorted(out.rglob("*")) == before
+
+
 def test_train_without_datasets_is_data_error(tmp_path):
     cfg, _ = _small_config(tmp_path)
     assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 3

@@ -1,8 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from mtlab.config import ConfigError, load_config
+from mtlab.config import CLASSIFICATION_ARITIES, DEFAULTS, ConfigError, load_config
 from mtlab.model import Conv, GlobalAvgPool
 
 
@@ -64,6 +66,19 @@ def test_invalid_json_rejected(tmp_path):
     {"suite": {"tasks": [{"kind": "mystery"}]}},
     {"encoder": [{"type": "warp"}]},
     {"encoder": [{"type": "conv"}]},
+    {"suite": "x"},
+    {"suite": {"tasks": [5]}},
+    {"suite": {"tasks": [{"kind": "classification", "num_classes": "many"}]}},
+    {"suite": {"tasks": [{"kind": "classification", "num_classes": 3, "input_shape": [32]}]}},
+    {"adam": {"lr": "fast"}},
+    {"suite": {"preset": "default", "n_train": "lots"}},
+    {"suite": {"tasks": [{"kind": "binary-segmentation", "n_train": "lots"}]}},
+    {"suite": {"tasks": [{"kind": "classification", "num_classes": 3,
+                          "input_shape": [3, 0, 32]}]}},
+    {"suite": {"tasks": [{"kind": "classification", "num_classes": 3, "input_shape": "abc"}]}},
+    {"encoder": [{"type": "conv", "filters": 4, "kernel": 3, "stride": 0}]},
+    {"encoder": [{"type": "conv", "filters": 0, "kernel": 3}]},
+    {"iterations": "10"},
 ])
 def test_invalid_configs_rejected(tmp_path, payload):
     with pytest.raises(ConfigError):
@@ -74,3 +89,45 @@ def test_nested_dicts_merge_over_defaults(tmp_path):
     cfg = load_config(_write(tmp_path, {"adam": {"lr": 0.01}}))
     assert cfg.adam["lr"] == 0.01
     assert cfg.adam["beta1"] == 0.9  # default preserved
+
+
+def test_preset_expands_to_its_eleven_entries(tmp_path):
+    preset = load_config(_write(tmp_path, {"suite": {"n_train": 16, "n_eval": 8}}))
+    sizes = {"n_train": 16, "n_eval": 8}
+    explicit = (
+        [{"kind": "classification", "num_classes": k, **sizes} for k in CLASSIFICATION_ARITIES]
+        + [{"kind": "instance-segmentation", "num_classes": 3, "name": "shapes_instance",
+            **sizes}]
+        + [{"kind": "binary-segmentation", "name": f"shapes_binary_{j}", **sizes}
+           for j in range(3)])
+    listed = load_config(_write(tmp_path, {"suite": {"tasks": explicit}}))
+    assert len(preset.suite) == 11
+    assert preset.suite == listed.suite
+    # the run record keeps the suite as given, not its expansion
+    assert preset.raw["suite"] == {"preset": "default", "n_train": 16, "n_eval": 8}
+
+
+def test_task_entries_take_the_suite_sizes_and_the_kind_defaults(tmp_path):
+    cfg = load_config(_write(tmp_path, {"suite": {"n_eval": 5, "tasks": [
+        {"kind": "binary-segmentation"},
+        {"kind": "classification", "num_classes": 4, "n_train": 20, "name": "four"}]}}))
+    assert cfg.suite == [
+        {"kind": "binary-segmentation", "name": "", "n_train": 128, "n_eval": 5,
+         "num_classes": 1, "image_size": 32, "max_instances": 3},
+        {"kind": "classification", "name": "four", "n_train": 20, "n_eval": 5,
+         "num_classes": 4, "input_shape": (3, 32, 32), "difficulty": 0.35},
+    ]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_blocks_load_and_show_the_defaults(tmp_path):
+    blocks = [json.loads(b) for b in
+              re.findall(r"^```json\n(.*?)^```", README.read_text(), re.S | re.M)]
+    assert len(blocks) >= 2
+    for block in blocks:
+        load_config(_write(tmp_path, block))
+    (defaults,) = [b for b in blocks if set(b) == set(DEFAULTS)]
+    for key, value in DEFAULTS.items():
+        assert defaults[key] == value, key

@@ -296,9 +296,8 @@ def test_concentration_validates_inputs():
         concentration_experiment([4], 10, rng)
 
 
-def test_concentration_histogram_and_percentiles():
+def test_concentration_percentiles():
     rng = np.random.Generator(np.random.SFC64(4))
     (stat,) = concentration_experiment([16], 5000, rng)
-    assert stat.hist_counts.sum() == 5000
     assert stat.p05 < stat.mean < stat.p95
     assert -1 <= stat.p05 and stat.p95 <= 1

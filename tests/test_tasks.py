@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+from mtlab.cli import build_suite
+from mtlab.config import CLASSIFICATION_ARITIES, load_config
 from mtlab.metrics import InstanceStack, panoptic_quality
 from mtlab.tasks import (
-    CLASSIFICATION_ARITIES,
     DATASET_MAGIC,
     DATASET_VERSION,
     KIND_BINARY_SEG,
@@ -11,7 +14,6 @@ from mtlab.tasks import (
     MASK_MAGIC,
     MASK_VERSION,
     TaskSpec,
-    default_suite,
     gen_classification_task,
     gen_segmentation_task,
     load_dataset,
@@ -398,8 +400,15 @@ def test_mask_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 # default suite
 
-def test_default_suite_shape():
-    tasks = list(default_suite(seed=77, n_train=16, n_eval=8))
+def _default_suite(tmp_path, seed):
+    """The datasets of the default preset at 16 train and 8 eval examples each."""
+    path = tmp_path / f"preset_{seed}.json"
+    path.write_text(json.dumps({"seed": seed, "suite": {"n_train": 16, "n_eval": 8}}))
+    return build_suite(load_config(path))
+
+
+def test_default_suite_shape(tmp_path):
+    tasks = list(_default_suite(tmp_path, seed=77))
     assert len(tasks) == 11
     ks = [t.spec.num_classes for t in tasks[:7]]
     assert tuple(ks) == CLASSIFICATION_ARITIES
@@ -409,7 +418,7 @@ def test_default_suite_shape():
     assert len({t.spec.task_id for t in tasks}) == 11
 
 
-def test_default_suite_deterministic():
-    a = default_suite(seed=5, n_train=16, n_eval=8)
-    b = default_suite(seed=5, n_train=16, n_eval=8)
+def test_default_suite_deterministic(tmp_path):
+    a = _default_suite(tmp_path, seed=5)
+    b = _default_suite(tmp_path, seed=5)
     assert all(_equal(x, y) for x, y in zip(a, b))
