@@ -28,7 +28,7 @@ from .metrics import (MaskError, accuracy, connected_components,
 from .model import ModelSpecError, ParamStore, build_encoder, forward_task
 from .tasks import (KIND_BINARY_SEG, KIND_CLASSIFICATION, TaskDataset, _task_seed,
                     gen_classification_task, gen_segmentation_task, load_dataset, load_mask,
-                    save_dataset)
+                    read_header, save_dataset)
 from .tensorio import FileFormatError
 from .trainer import (FINAL_CHECKPOINT_FILE, LOG_FILE, TRACE_FILE, Checkpoint, RunRecord,
                       SamplerConfig, TrainConfig, apply_checkpoint, build_decoders,
@@ -107,29 +107,38 @@ def _manifest_files(cfg: ExperimentConfig) -> list[tuple[str, Path]]:
                         f"run 'mtlab generate' first")
     try:
         with open(cfg.manifest_path) as fh:
-            return [(entry["path"], cfg.data_dir / entry["path"])
-                    for entry in json.load(fh)["tasks"]]
+            files = [(entry["path"], cfg.data_dir / entry["path"])
+                     for entry in json.load(fh)["tasks"]]
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest {cfg.manifest_path} is not valid JSON: {exc}") from None
     except (KeyError, TypeError) as exc:
         raise DataError(f"manifest {cfg.manifest_path} needs a 'tasks' list of entries "
                         f"with a 'path': {exc!r}") from None
-
-
-def _load_manifest_tasks(cfg: ExperimentConfig) -> list[TaskDataset]:
-    tasks = []
-    for _, path in _manifest_files(cfg):
+    for _, path in files:
         if not path.exists():
             raise DataError(f"dataset file {path} listed in manifest is missing")
-        tasks.append(load_dataset(path))
+    return files
+
+
+def _check_input_shapes(tasks) -> None:
+    """Data-side check of what load_config checks of the config's suite, for data
+    generated from another config or edited by hand."""
     shapes = {ds.spec.input_shape for ds in tasks}
     if len(shapes) > 1:
         raise DataError(f"tasks have mixed input shapes {sorted(shapes)}; "
                         f"one shared encoder cannot serve them")
+
+
+def _load_manifest_tasks(cfg: ExperimentConfig, split: str | None = None) -> list[TaskDataset]:
+    """Every dataset of the manifest, whole or only the rows of `split`."""
+    tasks = [load_dataset(path, split=split) for _, path in _manifest_files(cfg)]
+    _check_input_shapes(tasks)
     return tasks
 
 
-def _build_models(cfg: ExperimentConfig, tasks: list[TaskDataset]):
+def _build_models(cfg: ExperimentConfig, tasks):
+    """Shared encoder, decoders and Adam states for `tasks`, datasets or dataset
+    headers: only their specs are read."""
     store = ParamStore()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
     shape = tasks[0].spec.input_shape
@@ -272,7 +281,9 @@ def _check_resume_config(cfg: ExperimentConfig, path: Path, datasets: dict[str, 
 
 
 def cmd_train(cfg: ExperimentConfig, timestamp: bool, resume: bool) -> int:
-    tasks = _load_manifest_tasks(cfg)
+    # each task holds its train rows only, from which sample_batch draws the
+    # examples it would draw from the whole dataset
+    tasks = _load_manifest_tasks(cfg, split="train")
     datasets = {name: ds.crc32 for (name, _), ds in zip(_manifest_files(cfg), tasks)}
     sampler = _sampler(cfg, len(tasks))
     store, encoder, decoders, states = _build_models(cfg, tasks)
@@ -321,23 +332,35 @@ def cmd_train(cfg: ExperimentConfig, timestamp: bool, resume: bool) -> int:
 
 
 def cmd_eval(cfg: ExperimentConfig, timestamp: bool, checkpoint: Path | None) -> int:
-    tasks = _load_manifest_tasks(cfg)
-    store, encoder, decoders, states = _build_models(cfg, tasks)
+    files = _manifest_files(cfg)
+    heads = [read_header(path) for _, path in files]
     ck_path = checkpoint or cfg.out_dir / FINAL_CHECKPOINT_FILE
-    if not ck_path.exists():
-        raise DataError(f"checkpoint {ck_path} does not exist")
-    ck = load_checkpoint(ck_path)
     try:
-        apply_checkpoint(ck, store, states)
-    except ValueError as exc:
-        raise DataError(f"checkpoint {ck_path} does not match the configured "
-                        f"models: {exc}") from None
+        _check_input_shapes(heads)
+        store, encoder, decoders, states = _build_models(cfg, heads)
+        if not ck_path.exists():
+            raise DataError(f"checkpoint {ck_path} does not exist")
+        ck = load_checkpoint(ck_path)
+        try:
+            apply_checkpoint(ck, store, states)
+        except ValueError as exc:
+            raise DataError(f"checkpoint {ck_path} does not match the configured "
+                            f"models: {exc}") from None
+    except (ConfigError, DataError):
+        # The models come from the headers, whose bytes are CRC-checked only as
+        # each file is loaded to be scored: a corrupt header is named first.
+        for _, path in files:
+            load_dataset(path, split="eval")
+        raise
 
     rows = []
-    for ds, dec in zip(tasks, decoders):
+    for (_, path), head, dec in zip(files, heads, decoders):
+        ds = load_dataset(path, split="eval")
         metric, value = evaluate_task(encoder, dec, ds)
-        rows.append((ds.spec.task_id, ds.spec.name, metric, _fmt(value)))
-        print(f"task {ds.spec.task_id:2d} {ds.spec.name:24s} {metric}={value:.4f}")
+        del ds  # so the next task loads with no other dataset held
+        spec = head.spec
+        rows.append((spec.task_id, spec.name, metric, _fmt(value)))
+        print(f"task {spec.task_id:2d} {spec.name:24s} {metric}={value:.4f}")
     _csv_writer(cfg.out_dir / "results.csv", ["task_id", "name", "metric", "value"],
                 rows, timestamp)
     return EXIT_OK

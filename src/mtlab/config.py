@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .autodiff import _ACTIVATIONS
 from .model import Activation, Conv, Dense, GlobalAvgPool
-from .tasks import KIND_BINARY_SEG, KIND_CLASSIFICATION, KIND_INSTANCE_SEG
+from .tasks import KIND_BINARY_SEG, KIND_CLASSIFICATION, KIND_INSTANCE_SEG, SEG_CHANNELS
 
 
 class ConfigError(ValueError):
@@ -52,6 +53,10 @@ TASK_KEYS = {
     KIND_INSTANCE_SEG: {"num_classes": (None, 1), **_SEG_KEYS},
     KIND_BINARY_SEG: {"num_classes": (1, 1), **_SEG_KEYS},
 }
+
+# A task name goes into its dataset's file name, task_<i>_<name>.mtld
+NAME_CHARS = "A-Za-z0-9._-"
+NAME_MAX = 200
 
 # The paper's task mix, which the preset "default" stands for: seven
 # classification arities, one instance task and three binary tasks.
@@ -145,7 +150,10 @@ def _task_entry(i: int, entry, splits: dict) -> dict:
     for key, (default, least) in keys.items():
         value, what = entry.get(key, default), where + key
         if key == "name":
-            _require(isinstance(value, str), f"{what} must be a string, got {value!r}")
+            _require(isinstance(value, str) and len(value) <= NAME_MAX
+                     and re.fullmatch(f"[{NAME_CHARS}]*", value),
+                     f"{what} must be a string of at most {NAME_MAX} of the characters "
+                     f"{NAME_CHARS} (it names a file), got {value!r}")
         elif key == "input_shape":
             _require(isinstance(value, (list, tuple)) and len(value) >= 2
                      and all(type(d) is int and d >= least for d in value),
@@ -171,7 +179,14 @@ def _suite_entries(suite) -> list[dict]:
     _require(isinstance(tasks, list) and tasks, "suite.tasks must be a non-empty list")
     _require("tasks" in suite or suite["preset"] == "default",
              f"suite needs either tasks or preset 'default', got {suite!r}")
-    return [_task_entry(i, entry, splits) for i, entry in enumerate(tasks)]
+    entries = [_task_entry(i, entry, splits) for i, entry in enumerate(tasks)]
+    shapes = [tuple(e["input_shape"]) if "input_shape" in e
+              else (SEG_CHANNELS, e["image_size"], e["image_size"]) for e in entries]
+    for i, (entry, shape) in enumerate(zip(entries, shapes)):
+        key = "input_shape" if "input_shape" in entry else "image_size"
+        _require(shape == shapes[0], f"suite task {i}: {key} gives the input shape {shape}, "
+                 f"but task 0's is {shapes[0]}; one shared encoder serves every task")
+    return entries
 
 
 def load_config(path=None, seed_override=None, out_override=None) -> ExperimentConfig:
@@ -215,10 +230,14 @@ def load_config(path=None, seed_override=None, out_override=None) -> ExperimentC
                  "alpha entries must be nonnegative numbers")
         _require(sum(alpha) > 0, "alpha must have positive mass")
 
+    suite = _suite_entries(merged["suite"])
+    _require(alpha == "uniform" or len(alpha) == len(suite),
+             f"alpha has {len(alpha)} entries but the suite defines {len(suite)} tasks")
+
     return ExperimentConfig(
         seed=_int("seed", merged["seed"], 0),
         out_dir=Path(merged["out_dir"]),
-        suite=_suite_entries(merged["suite"]),
+        suite=suite,
         encoder=parse_encoder_spec(merged["encoder"]),
         alpha=alpha,
         iterations=_int("iterations", merged["iterations"], 0),

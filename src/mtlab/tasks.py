@@ -10,6 +10,7 @@ generation produce identical bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,8 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 TRAIN, EVAL = 0, 1
 
+SEG_CHANNELS = 3  # color channels of a segmentation task's images
+
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -52,7 +55,11 @@ class TaskSpec:
 
 @dataclass
 class TaskDataset:
-    """One task's sampleable example store with disjoint train/eval splits."""
+    """One task's sampleable example store with disjoint train/eval splits.
+
+    Generated datasets are valid by construction; `load_dataset` checks what
+    it reads from a file before building one.
+    """
 
     spec: TaskSpec
     inputs: np.ndarray     # (n, *input_shape) float64
@@ -67,36 +74,6 @@ class TaskDataset:
         self.split = np.ascontiguousarray(self.split, dtype=np.int32)
         self._train_idx = np.flatnonzero(self.split == TRAIN)
         self._eval_idx = np.flatnonzero(self.split == EVAL)
-        self._validate_targets()
-
-    def _validate_targets(self):
-        k = self.spec.num_classes
-        if self.spec.kind != KIND_CLASSIFICATION:
-            maps = self.targets if self.spec.kind == KIND_BINARY_SEG else self.targets.ids
-            size = self.spec.input_shape[-2:]
-            if maps.shape[1:] != size:
-                raise ValueError(f"examples 0..{len(maps) - 1}: target maps have shape "
-                                 f"{maps.shape[1:]}, not the inputs' height and width {size}")
-        if self.spec.kind == KIND_CLASSIFICATION:
-            if self.targets.size and (self.targets.min() < 0 or self.targets.max() >= k):
-                raise ValueError(f"label out of range for {k} classes")
-        elif self.spec.kind == KIND_BINARY_SEG:
-            if not np.isin(self.targets, (0.0, 1.0)).all():
-                raise ValueError("binary masks must be 0/1 valued")
-        else:
-            ids, labels = self.targets.ids, self.targets.labels
-            counts = self.targets.counts()
-            for bad, what in ((labels[:, 1] > counts[labels[:, 0]],
-                               "labeled ids skip an id; they must be 1..k"),
-                              ((labels[:, 2] < 1) | (labels[:, 2] > k),
-                               f"class table holds a class outside 1..{k}")):
-                if bad.any():
-                    raise ValueError(f"example {labels[bad][0, 0]}: {what}")
-            bad = np.flatnonzero(ids.max(axis=(1, 2), initial=0) > counts)
-            if bad.size:
-                i = int(bad[0])
-                raise ValueError(f"example {i}: id map holds ids outside 0..{counts[i]}, "
-                                 f"the ids its class table labels")
 
     def indices(self, split: str) -> np.ndarray:
         if split == "train":
@@ -238,7 +215,7 @@ def gen_segmentation_task(kind: str, image_size: int, max_instances: int,
         raise ValueError("image_size must be >= 8")
     if max_instances < 1:
         raise ValueError("max_instances must be >= 1")
-    channels = 3
+    channels = SEG_CHANNELS
     k = 1 if kind == KIND_BINARY_SEG else num_classes
     word = "binary" if kind == KIND_BINARY_SEG else "instance"
     spec = TaskSpec(task_id, name or f"shapes_{word}_t{task_id}",
@@ -310,39 +287,136 @@ def save_dataset(path, ds: TaskDataset) -> None:
     w.save(path)
 
 
-def load_dataset(path) -> TaskDataset:
+@dataclass(frozen=True)
+class DatasetHeader:
+    """The fields of a dataset file before its arrays."""
+
+    spec: TaskSpec
+    seed: int
+    n: int  # examples in the file
+
+
+def _read_header(r) -> DatasetHeader:
+    task_id = r.u16()
+    name = r.string()
+    code = r.u8()
+    if code not in _KIND_NAMES:
+        raise FileFormatError(f"{r.source}: unknown task kind code {code}")
+    k = r.u16()
+    input_shape = tuple(r.u32() for _ in range(r.u8()))
+    seed, n = r.u64(), r.u32()
+    try:
+        return DatasetHeader(TaskSpec(task_id, name, _KIND_NAMES[code], k, input_shape),
+                             seed, n)
+    except ValueError as exc:
+        raise FileFormatError(f"{r.source}: {exc}") from None
+
+
+def read_header(path) -> DatasetHeader:
+    """A dataset file's header, read without the arrays after it, so the file's
+    CRC32 is not checked: only `load_dataset` vouches for the header's bytes."""
     with read_file(path, DATASET_MAGIC, DATASET_VERSION) as r:
-        task_id = r.u16()
-        name = r.string()
-        code = r.u8()
-        if code not in _KIND_NAMES:
-            raise FileFormatError(f"{path}: unknown task kind code {code}")
-        kind = _KIND_NAMES[code]
-        k = r.u16()
-        ndim = r.u8()
-        input_shape = tuple(r.u32() for _ in range(ndim))
-        seed = r.u64()
-        n = r.u32()
-        split = r.tensor()
-        inputs = r.tensor()
-        targets = r.tensor()
-        tables = [r.tensor() for _ in range(n)] if kind == KIND_INSTANCE_SEG else None
+        return _read_header(r)
+
+
+class _RowCheck:
+    """Checks the targets of a dataset file's rows, each block as it is read, kept
+    or not. `finish` raises the fault of the first faulty row, named by its row
+    in the file."""
+
+    def __init__(self, source: str, spec: TaskSpec, n: int):
+        self.source, self.kind, self.k = source, spec.kind, spec.num_classes
+        self.top = np.zeros(n, np.int64)     # the greatest id of each instance id map
+        self.counts = np.zeros(n, np.int64)  # the classes of each class table
+        self.faults = []                     # (file row, what), at most one per block
+
+    def targets(self, start: int, rows: np.ndarray) -> None:
+        """Target rows start, start + 1, ... of the file."""
+        flat = rows.reshape(len(rows), math.prod(rows.shape[1:]))
+        if self.kind == KIND_CLASSIFICATION:
+            bad = ((flat < 0) | (flat >= self.k)).any(axis=1)
+            what = f"label out of range for {self.k} classes"
+        elif self.kind == KIND_BINARY_SEG:
+            bad = ~np.isin(flat, (0.0, 1.0)).all(axis=1)
+            what = "binary masks must be 0/1 valued"
+        else:
+            bad = flat.min(axis=1, initial=0) < 0
+            what = "id map holds negative ids; instance ids must be >= 0"
+            self.top[start:start + len(rows)] = flat.max(axis=1, initial=0)
+        if bad.any():
+            self.faults.append((start + int(bad.argmax()), what))
+
+    def table(self, row: int, classes: np.ndarray) -> None:
+        if ((classes < 1) | (classes > self.k)).any():
+            self.faults.append((row, f"class table holds a class outside 1..{self.k}"))
+        self.counts[row] = classes.size
+
+    def finish(self) -> None:
+        over = np.flatnonzero(self.top > self.counts)
+        if over.size:
+            i = int(over[0])
+            self.faults.append((i, f"id map holds ids outside 0..{self.counts[i]}, "
+                                   f"the ids its class table labels"))
+        if self.faults:
+            row, what = min(self.faults, key=lambda f: f[0])
+            raise FileFormatError(f"{self.source}: example {row}: {what}")
+
+
+def load_dataset(path, split: str | None = None) -> TaskDataset:
+    """The dataset in the file at `path`: every example, or with `split` ("train"
+    or "eval") only that split's, in file order, so example i of a split load is
+    example `indices(split)[i]` of the whole load.
+
+    Either way every byte goes into the CRC32, so `crc32` is the file's, and
+    every row's targets are checked, kept or not: a split load rejects what a
+    whole load rejects, and a fault names the example by its row in the file.
+    A split load allocates the kept rows only, reading the others through a
+    buffer of whole rows.
+    """
+    if split not in (None, "train", "eval"):
+        raise ValueError(f"unknown split {split!r}")
+    with read_file(path, DATASET_MAGIC, DATASET_VERSION) as r:
+        head = _read_header(r)
+        spec, n = head.spec, head.n
+        row_split = r.tensor()
+        if row_split.shape != (n,):
+            raise FileFormatError(f"{path}: the header counts {n} examples but split "
+                                  f"has shape {row_split.shape}")
+        check = _RowCheck(str(path), spec, n)
+        if split is None:
+            keep, inputs, targets = None, r.tensor(), r.tensor()
+        else:
+            keep = row_split == (TRAIN if split == "train" else EVAL)
+            inputs, targets = r.tensor_rows(keep), r.tensor_rows(keep, check.targets)
+        tables = None
+        if spec.kind == KIND_INSTANCE_SEG:
+            tables = []
+            for i in range(n):
+                table = r.tensor()
+                check.table(i, table)
+                if keep is None or keep[i]:
+                    tables.append(table)
         crc32 = r.finish()
-    for what, rows in (("split", split), ("inputs", inputs), ("targets", targets)):
-        if rows.shape[:1] != (n,):
-            raise FileFormatError(f"{path}: the header counts {n} examples but {what} "
-                                  f"has shape {rows.shape}")
-    if inputs.shape[1:] != input_shape:
+    if keep is None:
+        for what, rows in (("inputs", inputs), ("targets", targets)):
+            if rows.shape[:1] != (n,):
+                raise FileFormatError(f"{path}: the header counts {n} examples but {what} "
+                                      f"has shape {rows.shape}")
+    if inputs.shape[1:] != spec.input_shape:
         raise FileFormatError(f"{path}: inputs have shape {inputs.shape[1:]} per example "
-                              f"but the header gives the input shape {input_shape}")
+                              f"but the header gives the input shape {spec.input_shape}")
+    size = spec.input_shape[-2:]
+    if spec.kind != KIND_CLASSIFICATION and targets.shape[1:] != size:
+        raise FileFormatError(f"{path}: examples 0..{n - 1}: target maps have shape "
+                              f"{targets.shape[1:]}, not the inputs' height and width {size}")
+    if keep is None:
+        check.targets(0, targets)
+    check.finish()
     try:
         if tables is not None:
             targets = _instances(targets, tables)
-        return TaskDataset(TaskSpec(task_id, name, kind, k, input_shape),
-                           inputs, targets, split, seed, crc32)
-    except MaskError as exc:
-        where = "" if exc.image is None else f"example {exc.image}: "
-        raise FileFormatError(f"{path}: {where}{exc}") from None
+        return TaskDataset(spec, inputs, targets,
+                           row_split if keep is None else row_split[keep], head.seed, crc32)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
 

@@ -12,6 +12,7 @@ neither holds a second copy of a tensor's payload.
 from __future__ import annotations
 
 import io
+import math
 import os
 import struct
 import zlib
@@ -24,7 +25,7 @@ DTYPE_I32 = 1
 
 _NP_DTYPES = {DTYPE_F64: np.dtype("<f8"), DTYPE_I32: np.dtype("<i4")}
 
-_SKIP_CHUNK = 1 << 20  # bytes read at a time past a payload that is not kept
+_SKIP_CHUNK = 1 << 20  # bytes read at a time past payload that is not kept (or one row)
 
 
 class FileFormatError(ValueError):
@@ -285,15 +286,55 @@ class BlockReader:
         self._readinto(arr.reshape(-1).view(np.uint8))
         return arr if dtype.isnative else arr.astype(dtype.newbyteorder("="))
 
-    def skip_tensor(self) -> tuple[int, ...]:
-        """Read past the next tensor, its bytes still checked by the CRC32, without
-        keeping its payload; returns its shape."""
-        _, shape, left = self._tensor_header()
-        chunk = memoryview(bytearray(min(left, _SKIP_CHUNK)))
+    def tensor_rows(self, keep: np.ndarray, seen=None) -> np.ndarray:
+        """The rows of the next tensor that the boolean vector `keep` marks, in
+        file order; `keep` has one entry per row. Each run of kept rows is read
+        straight into the array and each run of other rows through a buffer of
+        whole rows, so every byte still goes into the CRC32. `seen(start, rows)`,
+        if given, is called with every block of rows read, kept or not, in file
+        order: `start` is the index of its first row, and `rows` is valid only
+        during the call."""
+        dtype, shape, _ = self._tensor_header()
+        if shape[:1] != keep.shape:
+            raise FileFormatError(f"{self.source}: the tensor at offset {self._pos} has shape "
+                                  f"{shape}, not {len(keep)} rows to choose from")
+        row = dtype.itemsize * math.prod(shape[1:])
+        arr = np.empty((np.count_nonzero(keep), *shape[1:]), dtype)
+        out = arr.reshape(-1).view(np.uint8)
+        # where each run of equal `keep` values ends
+        ends = [*(np.flatnonzero(keep[1:] != keep[:-1]) + 1).tolist(), len(keep)]
+        start = kept = 0
+        for end in ends if len(keep) else ():
+            if keep[start]:
+                self._readinto(out[kept * row:(kept + end - start) * row])
+                if seen is not None:
+                    seen(start, arr[kept:kept + end - start])
+                kept += end - start
+            else:
+                first = start
+                for buf in self._chunks((end - start) * row, row):
+                    if seen is not None:
+                        seen(first, np.frombuffer(buf, dtype).reshape(-1, *shape[1:]))
+                    first += len(buf) // row
+            start = end
+        return arr if dtype.isnative else arr.astype(dtype.newbyteorder("="))
+
+    def _chunks(self, left: int, row: int = 1):
+        """Read `left` bytes into the CRC32 through one buffer of whole rows of
+        `row` bytes, yielding each chunk read; a chunk is valid until the next."""
+        chunk = memoryview(bytearray(min(left, max(_SKIP_CHUNK // max(row, 1), 1) * row)))
         while left:
             n = min(left, len(chunk))
             self._readinto(chunk[:n])
             left -= n
+            yield chunk[:n]
+
+    def skip_tensor(self) -> tuple[int, ...]:
+        """Read past the next tensor, its bytes still checked by the CRC32, without
+        keeping its payload; returns its shape."""
+        _, shape, left = self._tensor_header()
+        for _ in self._chunks(left):
+            pass
         return shape
 
     def finish(self) -> int:

@@ -143,7 +143,8 @@ def iteration_rng(seed: int, t: int):
 
 def build_decoders(tasks: list[TaskDataset], encoder: EncoderModel,
                    store: ParamStore, rng) -> list:
-    """One decoder per task, sized from the task spec and encoder geometry."""
+    """One decoder per task, sized from the task spec and encoder geometry; only
+    each task's `.spec` is read, so dataset headers serve as well."""
     decoders = []
     for ds in tasks:
         spec = ds.spec

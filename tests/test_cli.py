@@ -2,6 +2,7 @@ import csv
 import ctypes
 import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -161,6 +162,83 @@ def test_malformed_config_is_a_config_error_naming_the_key(tmp_path, capsys, pay
     assert not out.exists()
 
 
+BIN16 = {"kind": "binary-segmentation", "image_size": 16}
+
+
+@pytest.mark.parametrize("payload,words", [
+    ({"suite": {"tasks": [BIN16, CLS]}}, ["suite task 1", "input_shape", "(3, 32, 32)",
+                                          "(3, 16, 16)"]),
+    ({"suite": {"tasks": [CLS, BIN16]}}, ["suite task 1", "image_size", "(3, 16, 16)"]),
+    ({"suite": {"tasks": [CLS, {**CLS, "input_shape": [1, 32, 32]}]}},
+     ["suite task 1", "input_shape", "(1, 32, 32)"]),
+    ({"suite": {"tasks": [BIN16]}, "alpha": [1, 2, 3]}, ["alpha has 3 entries", "1 tasks"]),
+    ({"suite": {"tasks": [{**BIN16, "name": "a/b"}]}}, ["suite task 0", "name", "'a/b'"]),
+    ({"suite": {"tasks": [BIN16, {**BIN16, "name": "cell nuclei"}]}}, ["suite task 1", "name"]),
+    ({"suite": {"tasks": [{**BIN16, "name": "x" * 201}]}}, ["suite task 0", "name"]),
+], ids=["mixed-input-shape", "mixed-image-size", "mixed-channels", "alpha-length",
+        "name-with-slash", "name-with-space", "name-too-long"])
+def test_suite_wide_config_fault_exits_2_before_generate_writes(tmp_path, capsys, payload,
+                                                                 words):
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_dir": str(out), **payload}))
+    for command in ("generate", "train", "eval"):
+        assert main([command, "--config", str(cfg), "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and all(w in err for w in words), err
+    assert not out.exists()
+
+
+def test_task_names_of_safe_characters_name_the_files(tmp_path):
+    cfg, out = _small_config(tmp_path, iterations=0)
+    payload = json.loads(cfg.read_text())
+    payload["suite"]["tasks"][0]["name"] = "Cls-v1.2_a"
+    cfg.write_text(json.dumps(payload))
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert (out / "data" / "task_00_Cls-v1.2_a.mtld").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_data_of_mixed_input_shapes_is_a_data_error(tmp_path, capsys, command):
+    cfg, out = _small_config(tmp_path, iterations=3)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    entry = json.loads((out / "data" / "manifest.json").read_text())["tasks"][1]
+    save_dataset(out / "data" / entry["path"],  # edited by hand: 8x8 images, not 16x16
+                 gen_segmentation_task(KIND_BINARY_SEG, 8, 2, 1, 24, 8, seed=3, task_id=1))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--no-timestamp"]) == 3
+    assert "mixed input shapes" in capsys.readouterr().err
+
+
+def test_train_holds_train_rows_and_eval_one_task_at_a_time(tmp_path, monkeypatch):
+    cfg, out = _small_config(tmp_path, iterations=6)
+    payload = json.loads(cfg.read_text())
+    payload["suite"]["tasks"].append({**payload["suite"]["tasks"][1], "name": "third"})
+    cfg.write_text(json.dumps(payload))
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    loads, live = [], set()
+    load = cli.load_dataset
+
+    def recording(path, split=None):
+        loads.append((split, len(live)))
+        ds = load(path, split=split)
+        key = len(loads)
+        live.add(key)
+        weakref.finalize(ds, live.discard, key)
+        return ds
+
+    monkeypatch.setattr(cli, "load_dataset", recording)
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert loads == [("train", 0), ("train", 1), ("train", 2)]
+    assert not live  # train has returned
+    loads.clear()
+    assert main(["eval", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert loads == [("eval", 0)] * 3  # no other dataset is held at each load
+    assert not live
+    assert len(_rows(out / "results.csv")) == 3
+
+
 def test_encoder_that_does_not_fit_the_input_is_a_config_error(tmp_path, capsys):
     cfg, out = _small_config(tmp_path, encoder=[
         {"type": "conv", "filters": 4, "kernel": 40}, {"type": "relu"}, {"type": "gap"}])
@@ -256,6 +334,26 @@ def test_corrupt_string_in_dataset_file_is_named_data_error(tmp_path, capsys):
     path.write_bytes(bytes(raw))
     assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 3
     assert entry["path"] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["num_classes", "input_channels"])
+def test_eval_names_a_dataset_file_whose_header_is_corrupt(tmp_path, capsys, field):
+    cfg, out = _small_config(tmp_path, iterations=3)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    entry = json.loads((out / "data" / "manifest.json").read_text())["tasks"][0]
+    path = out / "data" / entry["path"]
+    raw = bytearray(path.read_bytes())
+    # magic (4), version (2), task id (2), name (2 + len), kind (1) -> num_classes (2),
+    # then ndim (1) -> the first extent of the input shape (4)
+    at = 6 + 2 + 2 + len(entry["name"].encode()) + 1
+    raw[at if field == "num_classes" else at + 3] += 2
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--no-timestamp"]) == 3
+    err = capsys.readouterr().err
+    assert entry["path"] in err and "CRC32" in err, err
+    assert not (out / "results.csv").exists()
 
 
 def test_truncated_checkpoint_is_named_under_eval(tmp_path, capsys):

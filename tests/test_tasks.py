@@ -9,15 +9,19 @@ from mtlab.metrics import InstanceStack, panoptic_quality
 from mtlab.tasks import (
     DATASET_MAGIC,
     DATASET_VERSION,
+    EVAL,
     KIND_BINARY_SEG,
+    KIND_CLASSIFICATION,
     KIND_INSTANCE_SEG,
     MASK_MAGIC,
     MASK_VERSION,
+    TRAIN,
     TaskSpec,
     gen_classification_task,
     gen_segmentation_task,
     load_dataset,
     load_mask,
+    read_header,
     sample_batch,
     save_dataset,
     save_mask,
@@ -358,6 +362,159 @@ def test_dataset_rows_and_input_shape_must_match_the_header(tmp_path, what):
     with pytest.raises(FileFormatError, match=message) as exc:
         load_dataset(path)
     assert str(path) in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# split loads
+
+def _generated(kind, n_train=10, n_eval=7, seed=40):
+    if kind == KIND_CLASSIFICATION:
+        return gen_classification_task(3, (3, 8, 8), n_train, n_eval, 0.3, seed=seed)
+    return gen_segmentation_task(kind, 16, 3, 3 if kind == KIND_INSTANCE_SEG else 1,
+                                 n_train, n_eval, seed=seed)
+
+
+def _interleaved(ds):
+    """`ds` with its split relabeled so train and eval rows alternate, eval first."""
+    ds.split = np.where(np.arange(len(ds.inputs)) % 3 == 1, TRAIN, EVAL).astype(np.int32)
+    ds.__post_init__()
+    return ds
+
+
+def _with_an_empty_class_table(ds, example=2):
+    """An instance task whose `example` holds no shape: a blank id map, no classes."""
+    ds.targets.ids[example] = 0
+    ds.targets = InstanceStack(ds.targets.ids,
+                               ds.targets.labels[ds.targets.labels[:, 0] != example])
+    return ds
+
+
+SPLIT_FILES = {
+    "classification": lambda: _generated(KIND_CLASSIFICATION),
+    "binary": lambda: _generated(KIND_BINARY_SEG),
+    "instance": lambda: _generated(KIND_INSTANCE_SEG),
+    "classification-interleaved": lambda: _interleaved(_generated(KIND_CLASSIFICATION)),
+    "binary-interleaved": lambda: _interleaved(_generated(KIND_BINARY_SEG)),
+    "instance-interleaved": lambda: _interleaved(_generated(KIND_INSTANCE_SEG)),
+    "instance-empty-class-table":
+        lambda: _interleaved(_with_an_empty_class_table(_generated(KIND_INSTANCE_SEG))),
+}
+
+
+@pytest.mark.parametrize("split", ["train", "eval"])
+@pytest.mark.parametrize("case", list(SPLIT_FILES))
+def test_split_load_holds_the_rows_the_whole_load_indexes(tmp_path, case, split):
+    path = tmp_path / "task.mtld"
+    save_dataset(path, SPLIT_FILES[case]())
+    whole = load_dataset(path)
+    part = load_dataset(path, split=split)
+    idx = whole.indices(split)
+    assert 0 < len(idx) < len(whole.inputs)
+    assert part.spec == whole.spec and part.seed == whole.seed
+    assert part.crc32 == whole.crc32 == int.from_bytes(path.read_bytes()[-4:], "little")
+    assert part.inputs.tobytes() == whole.inputs[idx].tobytes()
+    np.testing.assert_array_equal(part.indices(split), np.arange(len(idx)))
+    assert part.split.tolist() == whole.split[idx].tolist()
+    if whole.spec.kind == KIND_INSTANCE_SEG:
+        kept = whole.targets.take(idx)
+        assert part.targets.ids.tobytes() == kept.ids.tobytes()
+        assert part.targets.labels.tobytes() == kept.labels.tobytes()
+    else:
+        assert part.targets.dtype == whole.targets.dtype
+        assert part.targets.tobytes() == whole.targets[idx].tobytes()
+    x_part, y_part = sample_batch(part, split, 16, np.random.default_rng(9))
+    x_whole, y_whole = sample_batch(whole, split, 16, np.random.default_rng(9))
+    assert x_part.data.tobytes() == x_whole.data.tobytes()
+    assert y_part.dtype == y_whole.dtype and y_part.tobytes() == y_whole.tobytes()
+
+
+def test_the_empty_class_table_case_has_an_example_without_instances(tmp_path):
+    ds = SPLIT_FILES["instance-empty-class-table"]()
+    assert ds.targets.counts()[2] == 0 and not ds.targets.ids[2].any()
+    assert ds.split[2] == EVAL and ds.split[1] == TRAIN
+
+
+def test_split_load_of_an_unknown_split_is_rejected(tmp_path):
+    path = tmp_path / "task.mtld"
+    save_dataset(path, _generated(KIND_CLASSIFICATION))
+    with pytest.raises(ValueError, match="unknown split 'test'"):
+        load_dataset(path, split="test")
+
+
+@pytest.mark.parametrize("split", ["train", "eval"])
+def test_a_flipped_byte_in_a_skipped_row_fails_the_checksum(tmp_path, split):
+    ds = _generated(KIND_BINARY_SEG)
+    path = tmp_path / "task.mtld"
+    save_dataset(path, ds)
+    skipped = ds.indices("eval" if split == "train" else "train")[1]
+    raw = bytearray(path.read_bytes())
+    # the masks are the last tensor, after the inputs and the masks' 14-byte header
+    masks_at = len(raw) - 4 - ds.targets.nbytes
+    inputs_at = masks_at - 14 - ds.inputs.nbytes
+    for at, rows in ((inputs_at, ds.inputs), (masks_at, ds.targets)):  # a byte of each
+        row = rows[skipped].nbytes
+        assert raw[at + skipped * row:at + (skipped + 1) * row] == rows[skipped].tobytes()
+        raw[at + skipped * row + row // 2] ^= 0x40
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ChecksumError, match=str(path)):
+        load_dataset(path, split=split)
+
+
+@pytest.mark.parametrize("split", ["train", "eval"])
+@pytest.mark.parametrize("what", ["inputs", "targets"])
+def test_split_load_of_a_tensor_with_other_rows_than_the_header_is_rejected(tmp_path, what,
+                                                                             split):
+    ds = gen_classification_task(2, (1, 4, 4), 12, 4, 0.2, seed=39)
+    arrays = {"split": ds.split, "inputs": ds.inputs, "targets": ds.targets}
+    arrays[what] = arrays[what][:5]
+    path = tmp_path / "task.mtld"
+    _write_classification(path, 16, arrays["split"], arrays["inputs"], arrays["targets"],
+                          (1, 4, 4))
+    with pytest.raises(FileFormatError, match=r"has shape \(5,.*not 16 rows") as exc:
+        load_dataset(path, split=split)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("split", [None, "train", "eval"])
+@pytest.mark.parametrize("fault", ["past-table", "negative", "class"])
+def test_a_faulty_eval_row_is_named_by_its_row_in_the_file(tmp_path, fault, split):
+    ds = _interleaved(_generated(KIND_INSTANCE_SEG, n_train=6, n_eval=9))
+    bad = int(ds.indices("eval")[4])
+    labeled = np.flatnonzero(ds.targets.labels[:, 0] == bad)
+    if fault == "class":
+        ds.targets.labels[labeled[0], 2] = 4  # 3 classes
+    else:
+        ds.targets.ids[bad, 0, 0] = len(labeled) + 1 if fault == "past-table" else -1
+    path = tmp_path / "task.mtld"
+    save_dataset(path, ds)
+    what = "class table" if fault == "class" else "id map"
+    with pytest.raises(FileFormatError, match=f"example {bad}: {what}") as exc:
+        load_dataset(path, split=split)
+    assert str(path) in str(exc.value)
+    assert bad != 4  # its index among the eval rows
+
+
+@pytest.mark.parametrize("kind", [KIND_CLASSIFICATION, KIND_BINARY_SEG])
+def test_a_faulty_skipped_target_is_rejected_on_a_split_load(tmp_path, kind):
+    ds = _generated(kind)
+    bad = int(ds.indices("eval")[2])
+    if kind == KIND_CLASSIFICATION:
+        ds.targets[bad] = 3  # 3 classes
+    else:
+        ds.targets[bad, 4, 4] = 0.5
+    path = tmp_path / "task.mtld"
+    save_dataset(path, ds)
+    for split in (None, "train", "eval"):
+        with pytest.raises(FileFormatError, match=f"example {bad}: "):
+            load_dataset(path, split=split)
+
+
+def test_read_header_gives_the_spec_seed_and_example_count(tmp_path):
+    ds = _generated(KIND_INSTANCE_SEG)
+    path = tmp_path / "task.mtld"
+    save_dataset(path, ds)
+    head = read_header(path)
+    assert (head.spec, head.seed, head.n) == (ds.spec, ds.seed, len(ds.inputs))
 
 
 def _write_mask(path, ids, pairs):

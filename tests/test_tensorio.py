@@ -332,3 +332,102 @@ def test_load_trace_allocates_the_payload_about_once(tmp_path):
         tracemalloc.stop()
     assert len(loaded.entries) == 300
     assert peak <= 1.2 * path.stat().st_size
+
+
+@pytest.mark.parametrize("keep", [
+    [1, 0, 0, 1, 1, 0, 1], [0, 0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1, 1], [0, 1, 1, 1, 1, 1, 0],
+    [],
+], ids=["interleaved", "none", "all", "middle", "no-rows"])
+@pytest.mark.parametrize("chunk_rows", [1, 2, 100])
+def test_tensor_rows_reads_the_kept_rows_and_shows_every_row(tmp_path, monkeypatch, keep,
+                                                             chunk_rows):
+    keep = np.array(keep, dtype=bool)
+    arr = np.arange(len(keep) * 6, dtype=np.int32).reshape(len(keep), 2, 3)
+    path = tmp_path / "t.bin"
+    _writer([("tensor", arr), ("u8", 9)]).save(path)
+    monkeypatch.setattr(tensorio, "_SKIP_CHUNK", chunk_rows * 24 + 5)  # whole rows only
+    blocks = []
+    with tensorio.read_file(path, MAGIC, VERSION) as r:
+        got = r.tensor_rows(keep, lambda start, rows: blocks.append((start, rows.copy())))
+        assert r.u8() == 9
+        r.finish()
+    assert got.shape == (keep.sum(), 2, 3) and got.tobytes() == arr[keep].tobytes()
+    starts = [start for start, _ in blocks]
+    assert starts == sorted(starts)
+    assert np.concatenate([b for _, b in blocks] or [arr[:0]]).tobytes() == arr.tobytes()
+    assert all(b.tobytes() == arr[start:start + len(b)].tobytes() for start, b in blocks)
+
+
+def test_tensor_rows_wants_one_entry_per_row(tmp_path):
+    path = tmp_path / "t.bin"
+    _writer([("tensor", np.zeros((4, 2)))]).save(path)
+    with tensorio.read_file(path, MAGIC, VERSION) as r:
+        with pytest.raises(tensorio.FileFormatError, match=r"t\.bin: .*shape \(4, 2\), not 3 rows"):
+            r.tensor_rows(np.ones(3, dtype=bool))
+
+
+@pytest.mark.parametrize("split", ["train", "eval"])
+def test_every_truncation_of_a_split_load_raises_as_a_whole_load_does(tmp_path, split):
+    from mtlab.tasks import load_dataset
+
+    path, _ = _small_files(tmp_path)[0]
+    data = path.read_bytes()
+    cut = tmp_path / "cut.mtld"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        got = _error(lambda p: load_dataset(p, split=split), cut)
+        assert got is not None and got[0] is tensorio.TruncatedFileError, n
+        assert got == _error(load_dataset, cut), n
+
+
+def _saved(tmp_path, kind):
+    from mtlab.tasks import gen_classification_task, gen_segmentation_task, save_dataset
+
+    if kind == "classification":
+        ds = gen_classification_task(4, (3, 32, 32), 40, 160, 0.3, seed=1)
+    else:
+        ds = gen_segmentation_task(kind, 32, 3, 3, 40, 160, seed=1)
+    path = tmp_path / "task.mtld"
+    save_dataset(path, ds)
+    return path, ds
+
+
+def _alloc_peak(load):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = load()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["classification", "instance-segmentation"])
+def test_a_train_split_load_allocates_the_kept_rows_about_once(tmp_path, kind):
+    from mtlab.tasks import load_dataset
+
+    path, ds = _saved(tmp_path, kind)
+    idx = ds.indices("train")
+    if kind == "classification":
+        kept = ds.inputs[idx].nbytes + ds.targets[idx].nbytes
+    else:  # inputs, id maps and the class tables (int32) of the kept rows
+        kept = ds.inputs[idx].nbytes + ds.targets.ids[idx].nbytes \
+            + 4 * int(ds.targets.counts()[idx].sum())
+    del ds
+    loaded, peak = _alloc_peak(lambda: load_dataset(path, split="train"))
+    assert len(loaded.inputs) == 40
+    bound = 1.2 * kept + tensorio._SKIP_CHUNK
+    assert bound < 0.5 * path.stat().st_size  # a whole load would not pass
+    assert peak <= bound, (peak, bound)
+
+
+def test_a_truncated_split_load_fails_before_it_allocates(tmp_path):
+    from mtlab.tasks import load_dataset
+
+    path, _ = _saved(tmp_path, "classification")
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) // 2])  # inside the inputs' payload
+    error, peak = _alloc_peak(lambda: _error(lambda p: load_dataset(p, split="train"), path))
+    assert error[0] is tensorio.TruncatedFileError
+    assert peak < 64 << 10
