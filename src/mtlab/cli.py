@@ -26,10 +26,10 @@ from .diagnostics import concentration_experiment, consecutive_trace, pairwise_m
 from .metrics import (MaskError, accuracy, connected_components,
                       instances_from_class_map, panoptic_quality, rolling_mean)
 from .model import ModelSpecError, ParamStore, build_encoder, forward_task
-from .tasks import (KIND_BINARY_SEG, KIND_CLASSIFICATION, TaskDataset, _task_seed,
-                    gen_classification_task, gen_segmentation_task, load_dataset, load_mask,
-                    read_header, save_dataset)
-from .tensorio import FileFormatError
+from .tasks import (KIND_BINARY_SEG, KIND_CLASSIFICATION, DatasetHeader, TaskDataset,
+                    _task_seed, gen_classification_task, gen_segmentation_task, load_dataset,
+                    load_mask, read_header, save_dataset, suite_spec)
+from .tensorio import FileFormatError, replacing
 from .trainer import (FINAL_CHECKPOINT_FILE, LOG_FILE, TRACE_FILE, Checkpoint, RunRecord,
                       SamplerConfig, TrainConfig, apply_checkpoint, build_decoders,
                       init_adam_states, load_checkpoint, load_trace, new_log,
@@ -120,19 +120,34 @@ def _manifest_files(cfg: ExperimentConfig) -> list[tuple[str, Path]]:
     return files
 
 
-def _check_input_shapes(tasks) -> None:
-    """Data-side check of what load_config checks of the config's suite, for data
-    generated from another config or edited by hand."""
-    shapes = {ds.spec.input_shape for ds in tasks}
-    if len(shapes) > 1:
-        raise DataError(f"tasks have mixed input shapes {sorted(shapes)}; "
-                        f"one shared encoder cannot serve them")
+def _check_suite(cfg: ExperimentConfig, files: list[tuple[str, Path]],
+                 heads: list[DatasetHeader]) -> None:
+    """Each dataset file must hold the task its config suite entry generates: the
+    same kind, name, classes, input shape, split sizes and seed, and so the same
+    task id at the same index. Data generated from another config or edited by
+    hand is a DataError naming the file and the first key that differs."""
+    if len(files) != len(cfg.suite):
+        raise DataError(f"manifest {cfg.manifest_path} lists {len(files)} datasets but "
+                        f"the config's suite has {len(cfg.suite)} tasks")
+    for i, ((_, path), head, entry) in enumerate(zip(files, heads, cfg.suite)):
+        spec = suite_spec(entry, i)
+        n_train, n_eval = head.split_sizes()
+        for key, have, want in (
+                *((key, getattr(head.spec, key), getattr(spec, key)) for key
+                  in ("task_id", "kind", "name", "num_classes", "input_shape")),
+                ("n_train", n_train, entry["n_train"]), ("n_eval", n_eval, entry["n_eval"]),
+                ("seed", head.seed, _task_seed(cfg.seed, i))):
+            if have != want:
+                raise DataError(f"dataset file {path} does not hold suite task {i} of the "
+                                f"config: its {key} is {have!r}, the config's {want!r}")
 
 
 def _load_manifest_tasks(cfg: ExperimentConfig, split: str | None = None) -> list[TaskDataset]:
-    """Every dataset of the manifest, whole or only the rows of `split`."""
-    tasks = [load_dataset(path, split=split) for _, path in _manifest_files(cfg)]
-    _check_input_shapes(tasks)
+    """Every dataset of the manifest, whole or only the rows of `split`, each
+    checked against its config suite entry once its bytes are CRC-checked."""
+    files = _manifest_files(cfg)
+    tasks = [load_dataset(path, split=split) for _, path in files]
+    _check_suite(cfg, files, [read_header(path) for _, path in files])
     return tasks
 
 
@@ -153,11 +168,10 @@ def _build_models(cfg: ExperimentConfig, tasks):
 
 
 def _sampler(cfg: ExperimentConfig, k: int) -> SamplerConfig:
+    """The sampler over k tasks; an alpha list has k entries, as load_config
+    checks it against the suite and `_check_suite` the suite against the data."""
     if cfg.alpha == "uniform":
         return SamplerConfig.uniform(k)
-    if len(cfg.alpha) != k:
-        raise ConfigError(f"alpha has {len(cfg.alpha)} entries but the suite "
-                          f"defines {k} tasks")
     return SamplerConfig(np.asarray(cfg.alpha, dtype=np.float64))
 
 
@@ -179,8 +193,6 @@ def evaluate_task(encoder, decoder, ds: TaskDataset) -> tuple[str, float]:
     prediction and score are the same as when it is run and scored alone.
     """
     idx = ds.indices("eval")
-    if not len(idx):
-        raise DataError(f"task {ds.spec.task_id} ({ds.spec.name}) has no eval examples")
     labels, pqs = [], []
     for start in range(0, len(idx), EVAL_CHUNK):
         chunk = idx[start:start + EVAL_CHUNK]
@@ -315,7 +327,8 @@ def cmd_train(cfg: ExperimentConfig, timestamp: bool, resume: bool) -> int:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         record.clear()
         _csv_writer(record.log_path, ["t", "task_id", "loss"], [], timestamp)
-    with open(record.config_path, "w") as fh:
+    # written whole or not at all: a resume needs it, and this run may be one
+    with replacing(record.config_path, "w") as fh:
         json.dump({**cfg.raw, DATASETS_KEY: datasets}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -336,7 +349,7 @@ def cmd_eval(cfg: ExperimentConfig, timestamp: bool, checkpoint: Path | None) ->
     heads = [read_header(path) for _, path in files]
     ck_path = checkpoint or cfg.out_dir / FINAL_CHECKPOINT_FILE
     try:
-        _check_input_shapes(heads)
+        _check_suite(cfg, files, heads)
         store, encoder, decoders, states = _build_models(cfg, heads)
         if not ck_path.exists():
             raise DataError(f"checkpoint {ck_path} does not exist")
@@ -347,8 +360,9 @@ def cmd_eval(cfg: ExperimentConfig, timestamp: bool, checkpoint: Path | None) ->
             raise DataError(f"checkpoint {ck_path} does not match the configured "
                             f"models: {exc}") from None
     except (ConfigError, DataError):
-        # The models come from the headers, whose bytes are CRC-checked only as
-        # each file is loaded to be scored: a corrupt header is named first.
+        # The suite check and the models read the headers, whose bytes are
+        # CRC-checked only as each file is loaded to be scored: a corrupt header
+        # is named first.
         for _, path in files:
             load_dataset(path, split="eval")
         raise

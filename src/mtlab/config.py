@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .autodiff import _ACTIVATIONS
 from .model import Activation, Conv, Dense, GlobalAvgPool
-from .tasks import KIND_BINARY_SEG, KIND_CLASSIFICATION, KIND_INSTANCE_SEG, SEG_CHANNELS
+from .tasks import KIND_BINARY_SEG, KIND_CLASSIFICATION, KIND_INSTANCE_SEG, suite_spec
 
 
 class ConfigError(ValueError):
@@ -180,8 +180,7 @@ def _suite_entries(suite) -> list[dict]:
     _require("tasks" in suite or suite["preset"] == "default",
              f"suite needs either tasks or preset 'default', got {suite!r}")
     entries = [_task_entry(i, entry, splits) for i, entry in enumerate(tasks)]
-    shapes = [tuple(e["input_shape"]) if "input_shape" in e
-              else (SEG_CHANNELS, e["image_size"], e["image_size"]) for e in entries]
+    shapes = [suite_spec(e, i).input_shape for i, e in enumerate(entries)]
     for i, (entry, shape) in enumerate(zip(entries, shapes)):
         key = "input_shape" if "input_shape" in entry else "image_size"
         _require(shape == shapes[0], f"suite task {i}: {key} gives the input shape {shape}, "

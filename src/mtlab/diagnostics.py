@@ -155,6 +155,19 @@ def concentration_sample(d: int, n_pairs: int, rng) -> np.ndarray:
     return v0 / np.sqrt(v0 * v0 + rng.chisquare(d - 1, n_pairs))
 
 
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """np.percentile(x, q) of x sorted into `ordered`, by np.percentile's
+    arithmetic (its default "linear" method). np.percentile imports numpy.ma on
+    first use, through np.unique: about 13 ms on a 2-vCPU Xeon VM, a third of
+    `diagnose` plus `concentration` on the two-conv encoder's run."""
+    at = (len(ordered) - 1) * (q / 100)
+    below = math.floor(at)
+    gamma = at - below
+    a, b = ordered[below], ordered[min(below + 1, len(ordered) - 1)]
+    step = b - a
+    return float(b - step * (1 - gamma) if gamma >= 0.5 else a + step * gamma)
+
+
 def concentration_experiment(dims, n_pairs: int, rng) -> list[ConcentrationStat]:
     """Cosine similarity of independent standard-normal vector pairs per dim.
 
@@ -170,7 +183,8 @@ def concentration_experiment(dims, n_pairs: int, rng) -> list[ConcentrationStat]
     out = []
     for d in dims:
         sims = concentration_sample(d, n_pairs, rng)
+        ordered = np.sort(sims)
         out.append(ConcentrationStat(
             dim=d, mean=float(sims.mean()), std=float(sims.std()),
-            p05=float(np.percentile(sims, 5)), p95=float(np.percentile(sims, 95))))
+            p05=_percentile(ordered, 5), p95=_percentile(ordered, 95)))
     return out

@@ -10,11 +10,11 @@ generation produce identical bytes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .autodiff import Tensor
 from .metrics import InstanceStack, MaskError, connected_components
@@ -117,6 +117,30 @@ def sample_batch(ds: TaskDataset, split: str, batch_size: int, rng):
 # ---------------------------------------------------------------------------
 # generators
 
+def default_name(kind: str, num_classes: int, task_id: int) -> str:
+    """The name a generated task gets when none is given."""
+    if kind == KIND_CLASSIFICATION:
+        return f"patch_k{num_classes}_t{task_id}"
+    return f"shapes_{'binary' if kind == KIND_BINARY_SEG else 'instance'}_t{task_id}"
+
+
+def task_spec(kind: str, num_classes: int, input_shape, task_id: int,
+              name: str | None = None) -> TaskSpec:
+    """The spec of a generated task: a binary task has one class whatever
+    num_classes says, and a task without a name gets its default_name."""
+    k = 1 if kind == KIND_BINARY_SEG else num_classes
+    return TaskSpec(task_id, name or default_name(kind, k, task_id), kind, k, input_shape)
+
+
+def suite_spec(entry: dict, task_id: int) -> TaskSpec:
+    """The spec of the task that a suite entry, as load_config fills it in,
+    generates at index task_id."""
+    kind = entry["kind"]
+    shape = entry["input_shape"] if kind == KIND_CLASSIFICATION \
+        else (SEG_CHANNELS, entry["image_size"], entry["image_size"])
+    return task_spec(kind, entry["num_classes"], shape, task_id, entry["name"])
+
+
 def _example_rng(seed: int, stream: int, idx: int = 0):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream, idx)))
 
@@ -133,17 +157,13 @@ def gen_classification_task(num_classes: int, input_shape, n_train: int, n_eval:
         raise ValueError("classification needs at least 2 classes")
     if n_train < num_classes or n_eval < 1:
         raise ValueError("need at least one example per class in train, one in eval")
-    input_shape = tuple(int(d) for d in input_shape)
-    spec = TaskSpec(task_id, name or f"patch_k{num_classes}_t{task_id}",
-                    KIND_CLASSIFICATION, num_classes, input_shape)
+    spec = task_spec(KIND_CLASSIFICATION, num_classes, input_shape, task_id, name)
+    input_shape = spec.input_shape
 
-    proto_rng = _example_rng(seed, 0)
-    sigma = (0,) * (len(input_shape) - 2) + (2.0, 2.0)
-    protos = []
-    for _ in range(num_classes):
-        p = ndimage.gaussian_filter(proto_rng.standard_normal(input_shape), sigma=sigma)
-        protos.append(p / p.std())
-    protos = np.stack(protos)
+    # one blur of all K draws, each prototype then scaled by its own std
+    protos = _blur(_example_rng(seed, 0).standard_normal((num_classes, *input_shape)), 2.0)
+    for p in protos:
+        p /= p.std()
 
     n = n_train + n_eval
     labels = np.empty(n, dtype=np.int32)
@@ -163,6 +183,31 @@ def gen_classification_task(num_classes: int, input_shape, n_train: int, n_eval:
     return TaskDataset(spec, inputs, labels, split, seed)
 
 
+def _blur(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of the last two axes, the bytes of scipy.ndimage's
+    gaussian_filter(x, sigma=(0, ..., sigma, sigma)).
+
+    It follows that filter's arithmetic: a kernel of radius int(4 sigma + 0.5)
+    normalized by its sum, edges mirrored with the edge pixel repeated (scipy's
+    "reflect", numpy's "symmetric"), the height axis before the width axis, and
+    each output the centre tap plus the mirrored pairs from the outermost in.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    taps = taps / taps.sum()
+    for axis in (x.ndim - 2, x.ndim - 1):
+        n = x.shape[axis]
+        pad = [(0, 0)] * x.ndim
+        pad[axis] = (radius, radius)
+        padded = np.moveaxis(np.pad(x, pad, mode="symmetric"), axis, 0)
+        out = padded[radius:radius + n] * taps[radius]
+        for j in range(radius, 0, -1):
+            out += (padded[radius - j:radius - j + n] + padded[radius + j:radius + j + n]) \
+                * taps[radius - j]
+        x = np.moveaxis(out, 0, axis)
+    return x
+
+
 def _class_colors(num_classes: int, channels: int, rng) -> np.ndarray:
     """Distinct per-class colors, pairwise separated for pixel-wise learnability."""
     colors = []
@@ -171,6 +216,19 @@ def _class_colors(num_classes: int, channels: int, rng) -> np.ndarray:
         if all(np.abs(c - prev).max() >= 0.25 for prev in colors):
             colors.append(c)
     return np.stack(colors)
+
+
+@functools.lru_cache(maxsize=None)
+def _footprint(side: int, disc: bool) -> np.ndarray:
+    """A side x side square, or the disc inscribed in it (read-only, shared)."""
+    if disc:
+        yy, xx = np.ogrid[:side, :side]
+        rad = side / 2.0
+        footprint = (yy - rad + 0.5) ** 2 + (xx - rad + 0.5) ** 2 <= rad * rad
+    else:
+        footprint = np.ones((side, side), dtype=bool)
+    footprint.flags.writeable = False
+    return footprint
 
 
 def _place_instances(rng, size: int, max_instances: int):
@@ -187,13 +245,7 @@ def _place_instances(rng, size: int, max_instances: int):
             grown = occupied[max(0, r - 1):r + side + 1, max(0, c - 1):c + side + 1]
             if grown.any():
                 continue
-            footprint = np.zeros((side, side), dtype=bool)
-            if rng.random() < 0.5:
-                footprint[:] = True  # rectangle
-            else:
-                yy, xx = np.ogrid[:side, :side]
-                rad = side / 2.0
-                footprint[(yy - rad + 0.5) ** 2 + (xx - rad + 0.5) ** 2 <= rad * rad] = True
+            footprint = _footprint(side, disc=rng.random() >= 0.5)
             placed += 1
             ids[r:r + side, c:c + side][footprint] = placed
             occupied[r:r + side, c:c + side] |= footprint
@@ -216,10 +268,8 @@ def gen_segmentation_task(kind: str, image_size: int, max_instances: int,
     if max_instances < 1:
         raise ValueError("max_instances must be >= 1")
     channels = SEG_CHANNELS
-    k = 1 if kind == KIND_BINARY_SEG else num_classes
-    word = "binary" if kind == KIND_BINARY_SEG else "instance"
-    spec = TaskSpec(task_id, name or f"shapes_{word}_t{task_id}",
-                    kind, k, (channels, image_size, image_size))
+    spec = task_spec(kind, num_classes, (channels, image_size, image_size), task_id, name)
+    k = spec.num_classes
     colors = _class_colors(k, channels, _example_rng(seed, 0))
 
     n = n_train + n_eval
@@ -231,10 +281,9 @@ def gen_segmentation_task(kind: str, image_size: int, max_instances: int,
         ids, placed = _place_instances(rng, image_size, max_instances)
         table = rng.integers(1, k + 1, size=placed).astype(np.int32)
         img = 0.08 + 0.03 * rng.standard_normal((channels, image_size, image_size))
-        for inst in range(1, placed + 1):
-            shade = rng.uniform(0.75, 1.0)
-            mask = ids == inst
-            img[:, mask] = colors[table[inst - 1] - 1][:, None] * shade
+        shades = rng.uniform(0.75, 1.0, size=placed)  # instance j's shade is draw j
+        inside = ids > 0
+        img[:, inside] = (colors[table - 1] * shades[:, None]).T[:, ids[inside] - 1]
         img += 0.02 * rng.standard_normal(img.shape)
         inputs[i] = img
         id_maps[i] = ids
@@ -289,11 +338,16 @@ def save_dataset(path, ds: TaskDataset) -> None:
 
 @dataclass(frozen=True)
 class DatasetHeader:
-    """The fields of a dataset file before its arrays."""
+    """The fields of a dataset file before its payloads, the split vector included."""
 
     spec: TaskSpec
     seed: int
     n: int  # examples in the file
+    split: np.ndarray = field(repr=False)  # (n,) TRAIN or EVAL of each example
+
+    def split_sizes(self) -> tuple[int, int]:
+        """The number of train and of eval examples."""
+        return int((self.split == TRAIN).sum()), int((self.split == EVAL).sum())
 
 
 def _read_header(r) -> DatasetHeader:
@@ -306,14 +360,18 @@ def _read_header(r) -> DatasetHeader:
     input_shape = tuple(r.u32() for _ in range(r.u8()))
     seed, n = r.u64(), r.u32()
     try:
-        return DatasetHeader(TaskSpec(task_id, name, _KIND_NAMES[code], k, input_shape),
-                             seed, n)
+        spec = TaskSpec(task_id, name, _KIND_NAMES[code], k, input_shape)
     except ValueError as exc:
         raise FileFormatError(f"{r.source}: {exc}") from None
+    split = r.tensor()
+    if split.shape != (n,):
+        raise FileFormatError(f"{r.source}: the header counts {n} examples but split "
+                              f"has shape {split.shape}")
+    return DatasetHeader(spec, seed, n, split)
 
 
 def read_header(path) -> DatasetHeader:
-    """A dataset file's header, read without the arrays after it, so the file's
+    """A dataset file's header, read without the payloads after it, so the file's
     CRC32 is not checked: only `load_dataset` vouches for the header's bytes."""
     with read_file(path, DATASET_MAGIC, DATASET_VERSION) as r:
         return _read_header(r)
@@ -377,11 +435,7 @@ def load_dataset(path, split: str | None = None) -> TaskDataset:
         raise ValueError(f"unknown split {split!r}")
     with read_file(path, DATASET_MAGIC, DATASET_VERSION) as r:
         head = _read_header(r)
-        spec, n = head.spec, head.n
-        row_split = r.tensor()
-        if row_split.shape != (n,):
-            raise FileFormatError(f"{path}: the header counts {n} examples but split "
-                                  f"has shape {row_split.shape}")
+        spec, n, row_split = head.spec, head.n, head.split
         check = _RowCheck(str(path), spec, n)
         if split is None:
             keep, inputs, targets = None, r.tensor(), r.tensor()

@@ -16,6 +16,7 @@ import math
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -142,8 +143,8 @@ class BlockWriter:
         return buf.getvalue()
 
     def save(self, path, in_place: bool = False) -> None:
-        """Write `<path>.tmp` beside `path`, then rename it over `path`, so a
-        failed write leaves any previous file whole and no temp file behind.
+        """Write `path` through `replacing`, so a failed write leaves any
+        previous file whole and no temp file behind.
 
         With `in_place`, overwrite `path` itself instead: open it without
         truncating, write, and cut it only if it was longer. Neither renaming
@@ -158,15 +159,24 @@ class BlockWriter:
                 if os.fstat(fd).st_size > fh.tell():
                     fh.truncate()
             return
-        tmp = f"{path}.tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                self._write(fh)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
+        with replacing(path) as fh:
+            self._write(fh)
+
+
+@contextmanager
+def replacing(path, mode: str = "wb"):
+    """A file opened as `<path>.tmp` beside `path` and renamed over `path` when
+    the block exits cleanly, so a failed write leaves any previous file whole
+    and no temp file behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _float64_buffers(rows, count: int):

@@ -172,20 +172,17 @@ def test_criterion_5_pq_oracle_equivalence():
 # ---------------------------------------------------------------------------
 # 6 + 7. end-to-end MTL run and its diagnostics
 
+# every key of the end-to-end run's config but out_dir (tools/samebytes.py runs it too)
+CRITERION_6_CONFIG = {"seed": 11, "iterations": 5000, "batch_size": 8, "alpha": "uniform",
+                      "checkpoint_every": 2500, "diagnostics": "exact"}
+
+
 @pytest.fixture(scope="module")
 def mtl_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("mtl_e2e")
     out = root / "run"
     cfg_path = root / "cfg.json"
-    cfg_path.write_text(json.dumps({
-        "seed": 11,
-        "out_dir": str(out),
-        "iterations": 5000,
-        "batch_size": 8,
-        "alpha": "uniform",
-        "checkpoint_every": 2500,
-        "diagnostics": "exact",
-    }))
+    cfg_path.write_text(json.dumps({**CRITERION_6_CONFIG, "out_dir": str(out)}))
     assert main(["generate", "--config", str(cfg_path), "--no-timestamp"]) == 0
     t0 = time.monotonic()
     assert main(["train", "--config", str(cfg_path), "--no-timestamp"]) == 0

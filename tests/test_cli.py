@@ -2,7 +2,11 @@ import csv
 import ctypes
 import gc
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,7 +212,8 @@ def test_data_of_mixed_input_shapes_is_a_data_error(tmp_path, capsys, command):
                  gen_segmentation_task(KIND_BINARY_SEG, 8, 2, 1, 24, 8, seed=3, task_id=1))
     capsys.readouterr()
     assert main([command, "--config", str(cfg), "--no-timestamp"]) == 3
-    assert "mixed input shapes" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert entry["path"] in err and "input_shape is (3, 8, 8)" in err, err
 
 
 def test_train_holds_train_rows_and_eval_one_task_at_a_time(tmp_path, monkeypatch):
@@ -392,9 +397,11 @@ def test_eval_of_task_without_eval_examples_is_data_error(tmp_path, capsys, task
     ds = load_dataset(path)
     ds.split[:] = TRAIN
     save_dataset(path, ds)
-    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
-    assert main(["eval", "--config", str(cfg), "--no-timestamp"]) == 3
-    assert "no eval examples" in capsys.readouterr().err
+    # the config's n_eval is at least 1, so such data is not the config's
+    for command in ("train", "eval"):
+        assert main([command, "--config", str(cfg), "--no-timestamp"]) == 3
+        err = capsys.readouterr().err
+        assert entry["path"] in err and f"n_train is {len(ds.split)}," in err, err
     assert not (out / "results.csv").exists()
 
 
@@ -877,7 +884,8 @@ def test_resume_on_other_datasets_is_a_data_error_naming_the_file(tmp_path, caps
     capsys.readouterr()
     assert main(["train", "--config", str(cfg), "--no-timestamp", "--resume"]) == 3
     err = capsys.readouterr().err
-    assert name in err and "CRC32" in err
+    # data from another seed is not the config's; an edited file is, but for its bytes
+    assert name in err and ("seed is" if change == "regenerated" else "CRC32") in err, err
     assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
 
 
@@ -892,3 +900,111 @@ def test_config_used_records_each_datasets_crc32_trailer(tmp_path):
         for name in names}
     del used["dataset_crc32"]
     assert used == json.loads(json.dumps(cli.load_config(cfg).raw))
+
+
+def test_every_command_runs_without_importing_scipy(tmp_path):
+    cfg, out = _small_config(tmp_path, iterations=6, checkpoint_every=3)
+    payload = json.loads(cfg.read_text())  # an instance task, for class-aware PQ
+    payload["suite"]["tasks"].append({"kind": "instance-segmentation", "image_size": 16,
+                                      "num_classes": 2, "n_train": 8, "n_eval": 4})
+    cfg.write_text(json.dumps(payload))
+    # numpy 2 imports numpy.ma (about 13 ms) only on first use; the pipeline's
+    # commands do not use it
+    code = f"""
+import sys
+import numpy as np
+eager = "numpy.ma" in sys.modules
+from mtlab.cli import main
+from mtlab.metrics import InstanceStack
+from mtlab.tasks import save_mask
+cfg, out = {str(cfg)!r}, {str(out)!r}
+for command in ("generate", "train", "eval", "diagnose", "concentration"):
+    assert main([command, "--config", cfg, "--no-timestamp"]) == 0, command
+assert eager or "numpy.ma" not in sys.modules
+mask = InstanceStack(np.array([[[0, 1], [2, 2]]]), [(0, 1, 1), (0, 2, 2)])
+save_mask(out + "/mask.mtlm", mask)
+assert main(["pq", out + "/mask.mtlm", out + "/mask.mtlm", "--class-aware"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+
+
+def test_a_failed_config_used_write_leaves_the_resume_point_whole(tmp_path, monkeypatch):
+    cfg, out = _small_config(tmp_path, iterations=20, checkpoint_every=10)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    used = (out / "config_used.json").read_bytes()
+    dump = json.dump
+
+    def torn(obj, fh, **kwargs):  # half the text reaches the file, then the write fails
+        text = json.dumps(obj, **kwargs)
+        fh.write(text[:len(text) // 2])
+        raise OSError("No space left on device")
+
+    with monkeypatch.context() as m:
+        m.setattr(json, "dump", torn)
+        assert main(["train", "--config", str(cfg), "--no-timestamp", "--resume"]) == 4
+    assert json.dump is dump
+    assert (out / "config_used.json").read_bytes() == used
+    assert not (out / "config_used.json.tmp").exists()
+    final = (out / "checkpoint_final.mtlc").read_bytes()
+    assert main(["train", "--config", str(cfg), "--no-timestamp", "--resume"]) == 0
+    assert (out / "checkpoint_final.mtlc").read_bytes() == final
+
+
+@pytest.mark.parametrize("alpha", ["uniform", [1.0]], ids=["uniform", "alpha-list"])
+def test_data_of_another_suite_is_a_data_error_naming_the_manifest(tmp_path, capsys, alpha):
+    cfg, out = _small_config(tmp_path, iterations=4)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    payload = json.loads(cfg.read_text())  # the config now names the first task only
+    payload["suite"]["tasks"] = payload["suite"]["tasks"][:1]
+    payload["alpha"] = alpha
+    cfg.write_text(json.dumps(payload))
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    capsys.readouterr()
+    for command in ("train", "eval"):
+        assert main([command, "--config", str(cfg), "--no-timestamp"]) == 3
+        err = capsys.readouterr().err
+        assert "manifest.json lists 2 datasets" in err and "has 1 tasks" in err, err
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("kind", "instance-segmentation", "kind is 'binary-segmentation'"),
+    ("name", "other", "name is 'shapes_binary_t1'"),
+    ("max_instances", 3, None),  # not in the file: the same data either way
+    ("n_train", 25, "n_train is 24,"),
+    ("n_eval", 9, "n_eval is 8,"),
+])
+def test_data_that_is_not_the_configs_task_is_a_data_error(tmp_path, capsys, key, value, shown):
+    cfg, out = _small_config(tmp_path, iterations=4)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    payload = json.loads(cfg.read_text())
+    payload["suite"]["tasks"][1][key] = value
+    if key == "kind":
+        payload["suite"]["tasks"][1]["num_classes"] = 1
+    cfg.write_text(json.dumps(payload))
+    capsys.readouterr()
+    for command in ("train", "eval"):
+        code = main([command, "--config", str(cfg), "--no-timestamp"])
+        err = capsys.readouterr().err
+        if shown is None:
+            assert code == 0, err
+        else:
+            assert code == 3 and "task_01_shapes_binary_t1.mtld" in err and shown in err, err
+
+
+def test_data_generated_from_another_seed_is_a_data_error(tmp_path, capsys):
+    cfg, out = _small_config(tmp_path, iterations=4)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp", "--seed", "6"]) == 0
+    for command in ("train", "eval"):
+        assert main([command, "--config", str(cfg), "--no-timestamp"]) == 3
+        err = capsys.readouterr().err
+        assert "task_00_patch_k4_t0.mtld" in err and "its seed is" in err, err

@@ -6,6 +6,7 @@ from scipy.stats import ks_2samp
 
 from mtlab.diagnostics import (
     GradTrace,
+    _percentile,
     concentration_experiment,
     concentration_sample,
     consecutive_trace,
@@ -243,6 +244,15 @@ def test_sketch_below_threshold_keeps_exact_vectors():
 
 # ---------------------------------------------------------------------------
 # concentration experiment
+
+def test_percentile_has_the_bytes_of_numpys():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3, 7, 1000, 4000, 4001):
+        x = rng.standard_normal(n)
+        for q in (0, 5, 37.5, 50, 95, 99.9, 100):
+            assert _percentile(np.sort(x), q) == np.percentile(x, q)
+            assert repr(_percentile(np.sort(x), q)) == repr(float(np.percentile(x, q)))
+
 
 def test_concentration_std_decreases_with_dimension():
     rng = np.random.Generator(np.random.SFC64(0))

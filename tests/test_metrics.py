@@ -6,6 +6,7 @@ from scipy import ndimage
 
 from mtlab.metrics import (
     InstanceStack,
+    _unique,
     MaskError,
     accuracy,
     connected_components,
@@ -433,18 +434,65 @@ def test_stacked_instances_from_class_map_equal_per_image_conversion():
     assert _image(stack, 3)[1] == {}
 
 
-def test_stacked_labeling_of_random_maps_equals_per_image_labeling():
+def _edge_case(name):
+    """A (2, 5, 7) class map of one labeling edge case."""
+    cm = np.zeros((2, 5, 7), dtype=np.int64)
+    if name == "full":
+        cm[:] = 3
+    elif name == "one-pixel":
+        cm[0, 2, 3] = cm[1, 0, 0] = cm[1, 4, 6] = 1
+    elif name == "diagonal-only":  # a checkerboard: every pixel its own instance
+        cm[:] = np.indices(cm.shape).sum(axis=0) % 2
+        cm[1] *= 2
+    elif name == "row-ends":  # runs from column 0 and to the last column, rows apart
+        cm[:, ::2, :3] = 1
+        cm[:, 1::2, 4:] = 1
+        cm[:, :, 3] = np.arange(5) % 2 + 1
+    elif name == "across-images":  # touch across the image 0/1 border only
+        cm[0, 4, 1:5] = 1
+        cm[1, 0, 2:6] = 1
+        cm[0, 3:, 6] = cm[1, :2, 6] = 2
+    return cm
+
+
+def _labeling_maps():
+    """(name, class map) of the labeling cases: a 9-image random stack with an
+    empty image, the edge cases, and 150 random stacks of random shapes."""
     rng = np.random.default_rng(7)
     cm = rng.integers(0, 4, size=(9, 10, 10)) * (rng.random((9, 10, 10)) < 0.6)
     cm[3] = 0
     cm[5][cm[5] == 2] = 0
-    stack = instances_from_class_map(cm)
-    binary = connected_components(cm > 0)
-    for b in range(len(cm)):
-        ids, classes = _class_map_reference(cm[b])
-        np.testing.assert_array_equal(stack.ids[b], ids)
-        assert _image(stack, b)[1] == classes
-        np.testing.assert_array_equal(binary.ids[b], ndimage.label(cm[b] > 0)[0])
+    yield "random 9x10x10", cm
+    for name in ("empty", "full", "one-pixel", "diagonal-only", "row-ends", "across-images"):
+        yield name, _edge_case(name)
+    rng = np.random.default_rng(21)
+    for i in range(150):
+        b, h, w = (int(d) for d in rng.integers(1, 13, size=3))
+        classes = int(rng.integers(1, 5))
+        yield f"random stack {i}", (rng.integers(0, classes + 1, size=(b, h, w))
+                                    * (rng.random((b, h, w)) < rng.random()))
+
+
+def test_stacked_labeling_of_random_maps_equals_per_image_labeling():
+    for name, cm in _labeling_maps():
+        stack = instances_from_class_map(cm)
+        binary = connected_components(cm > 0, cls=2)
+        for b in range(len(cm)):
+            ids, classes = _class_map_reference(cm[b])
+            assert stack.ids[b].tobytes() == ids.tobytes(), (name, b)
+            assert _image(stack, b)[1] == classes, (name, b)
+            ids, n = ndimage.label(cm[b] > 0)
+            assert binary.ids[b].tobytes() == ids.astype(np.int32).tobytes(), (name, b)
+            assert _image(binary, b)[1] == {i: 2 for i in range(1, n + 1)}, (name, b)
+
+
+def test_unique_equals_numpys():
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 2, 50):
+        x = rng.integers(-3, 6, size=n)
+        want = np.unique(x)
+        got = _unique(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _oracle_pq(pred: InstanceStack, gt: InstanceStack, b: int, class_aware: bool):

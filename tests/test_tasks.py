@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from mtlab.cli import build_suite
 from mtlab.config import CLASSIFICATION_ARITIES, load_config
@@ -17,6 +18,8 @@ from mtlab.tasks import (
     MASK_VERSION,
     TRAIN,
     TaskSpec,
+    _blur,
+    _example_rng,
     gen_classification_task,
     gen_segmentation_task,
     load_dataset,
@@ -56,6 +59,35 @@ def test_task_spec_rejects_unknown_kind():
 
 # ---------------------------------------------------------------------------
 # classification generator
+
+# input shapes load_config accepts (two or more sizes >= 1), down to images
+# narrower than the blur's 8-pixel radius
+BLUR_SHAPES = [(1, 1), (1, 1, 1), (3, 2, 30), (3, 32, 32), (7, 5), (40, 3), (3, 9, 8),
+               (2, 3, 16, 16), (1, 17, 1), (4, 8, 9), (2, 1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("shape", BLUR_SHAPES, ids=str)
+def test_blur_has_the_bytes_of_scipys_gaussian_filter(shape):
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    for _ in range(5):
+        x = rng.standard_normal(shape)
+        want = ndimage.gaussian_filter(x, sigma=(0,) * (len(shape) - 2) + (2.0, 2.0))
+        got = _blur(x, sigma=2.0)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 32, 32), (1, 8, 8), (2, 3, 5, 7)], ids=str)
+def test_classification_prototypes_are_scipys_blur_of_each_draw(shape):
+    """The prototypes, drawn and blurred as one (K, *shape) array, are each
+    draw blurred by scipy and scaled by its own std, as one draw at a time."""
+    ds = gen_classification_task(3, shape, 3, 1, difficulty=0.0, seed=14)
+    rng = _example_rng(14, 0)
+    for k in range(3):
+        p = ndimage.gaussian_filter(rng.standard_normal(shape),
+                                    sigma=(0,) * (len(shape) - 2) + (2.0, 2.0))
+        assert ds.inputs[ds.targets == k][0].tobytes() == (p / p.std()).tobytes()
+
 
 def test_classification_linear_probe_at_zero_difficulty():
     ds = gen_classification_task(2, (3, 16, 16), 64, 40, difficulty=0.0, seed=5)
