@@ -270,10 +270,14 @@ def relu(x) -> Tensor:
     return _record("relu", (x,), np.maximum(xd, 0.0), backward_fn)
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(z))  # stable for large |z|
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
-    e = np.exp(-np.abs(x.data))  # stable for large |x|
-    s = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    s = _sigmoid(x.data)
 
     def backward_fn(g, needs):
         return (g * s * (1.0 - s) if needs[0] else None,)
@@ -432,9 +436,7 @@ def binary_cross_entropy(logits, targets) -> Tensor:
     def backward_fn(g, needs):
         if not needs[0]:
             return (None,)
-        e = np.exp(-np.abs(z))
-        s = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        return ((s - targets) * (float(g) / n),)
+        return ((_sigmoid(z) - targets) * (float(g) / n),)
 
     return _record("binary_cross_entropy", (logits,), np.asarray(loss), backward_fn)
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import ConfigError, ExperimentConfig, load_config
-from .diagnostics import concentration_experiment, consecutive_trace, pairwise_matrix
+from .diagnostics import (MIN_DIM, MIN_PAIRS, concentration_experiment, consecutive_trace,
+                          pairwise_matrix)
 from .metrics import (MaskError, accuracy, connected_components,
                       instances_from_class_map, panoptic_quality, rolling_mean)
 from .model import ModelSpecError, ParamStore, build_encoder, forward_task
@@ -142,13 +143,13 @@ def _check_suite(cfg: ExperimentConfig, files: list[tuple[str, Path]],
                                 f"config: its {key} is {have!r}, the config's {want!r}")
 
 
-def _load_manifest_tasks(cfg: ExperimentConfig, split: str | None = None) -> list[TaskDataset]:
-    """Every dataset of the manifest, whole or only the rows of `split`, each
-    checked against its config suite entry once its bytes are CRC-checked."""
+def _load_manifest_tasks(cfg: ExperimentConfig, split: str | None = None) -> dict:
+    """Every dataset of the manifest by its name there, whole or only the rows of
+    `split`, each checked against its config suite entry once its bytes are CRC-checked."""
     files = _manifest_files(cfg)
     tasks = [load_dataset(path, split=split) for _, path in files]
-    _check_suite(cfg, files, [read_header(path) for _, path in files])
-    return tasks
+    _check_suite(cfg, files, [ds.header for ds in tasks])
+    return {name: ds for (name, _), ds in zip(files, tasks)}
 
 
 def _build_models(cfg: ExperimentConfig, tasks):
@@ -295,8 +296,9 @@ def _check_resume_config(cfg: ExperimentConfig, path: Path, datasets: dict[str, 
 def cmd_train(cfg: ExperimentConfig, timestamp: bool, resume: bool) -> int:
     # each task holds its train rows only, from which sample_batch draws the
     # examples it would draw from the whole dataset
-    tasks = _load_manifest_tasks(cfg, split="train")
-    datasets = {name: ds.crc32 for (name, _), ds in zip(_manifest_files(cfg), tasks)}
+    named = _load_manifest_tasks(cfg, split="train")
+    datasets = {name: ds.crc32 for name, ds in named.items()}
+    tasks = list(named.values())
     sampler = _sampler(cfg, len(tasks))
     store, encoder, decoders, states = _build_models(cfg, tasks)
     tcfg = TrainConfig(iterations=cfg.iterations, batch_size=cfg.batch_size,
@@ -344,10 +346,10 @@ def cmd_train(cfg: ExperimentConfig, timestamp: bool, resume: bool) -> int:
     return EXIT_OK
 
 
-def cmd_eval(cfg: ExperimentConfig, timestamp: bool, checkpoint: Path | None) -> int:
+def cmd_eval(cfg: ExperimentConfig, timestamp: bool) -> int:
     files = _manifest_files(cfg)
     heads = [read_header(path) for _, path in files]
-    ck_path = checkpoint or cfg.out_dir / FINAL_CHECKPOINT_FILE
+    ck_path = cfg.out_dir / FINAL_CHECKPOINT_FILE
     try:
         _check_suite(cfg, files, heads)
         store, encoder, decoders, states = _build_models(cfg, heads)
@@ -400,7 +402,10 @@ def _read_train_log(path: Path):
     return np.array(ts), np.array(tasks), np.array(losses)
 
 
-def cmd_diagnose(cfg: ExperimentConfig, timestamp: bool, window: int) -> int:
+DIAGNOSE_WINDOW = 10  # of the smoothed loss and of the pairwise matrix's rolling means
+
+
+def cmd_diagnose(cfg: ExperimentConfig, timestamp: bool) -> int:
     trace_path = cfg.out_dir / TRACE_FILE
     if not trace_path.exists():
         raise DataError(
@@ -410,7 +415,7 @@ def cmd_diagnose(cfg: ExperimentConfig, timestamp: bool, window: int) -> int:
     ts, task_ids, losses = _read_train_log(cfg.out_dir / LOG_FILE)
 
     out = cfg.out_dir / "diagnostics"
-    smoothed = rolling_mean(losses, window)
+    smoothed = rolling_mean(losses, DIAGNOSE_WINDOW)
     _csv_writer(out / "loss_smoothed.csv", ["t", "task_id", "loss", "loss_smoothed"],
                 [(int(t), int(i), _fmt(l), _fmt(s))
                  for t, i, l, s in zip(ts, task_ids, losses, smoothed)],
@@ -423,7 +428,7 @@ def cmd_diagnose(cfg: ExperimentConfig, timestamp: bool, window: int) -> int:
                  for p in pairs],
                 timestamp)
 
-    matrix = pairwise_matrix(pairs, trace.num_tasks, window=window)
+    matrix = pairwise_matrix(pairs, trace.num_tasks, window=DIAGNOSE_WINDOW)
     k = trace.num_tasks
     rows = [(i, j, _fmt(matrix.values[i, j]) if matrix.counts[i, j] else "",
              int(matrix.counts[i, j])) for i in range(k) for j in range(k)]
@@ -500,10 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "train":
             sp.add_argument("--resume", action="store_true",
                             help="continue from the newest checkpoint slot")
-        if name == "eval":
-            sp.add_argument("--checkpoint", type=Path, default=None)
-        if name == "diagnose":
-            sp.add_argument("--window", type=int, default=10)
         if name == "concentration":
             sp.add_argument("--dims", default="4,16,100,1024,10000")
             sp.add_argument("--pairs", type=int, default=20_000)
@@ -535,14 +536,17 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(cfg, timestamp, resume=args.resume)
         if args.command == "eval":
-            return cmd_eval(cfg, timestamp, args.checkpoint)
+            return cmd_eval(cfg, timestamp)
         if args.command == "diagnose":
-            return cmd_diagnose(cfg, timestamp, args.window)
+            return cmd_diagnose(cfg, timestamp)
         if args.command == "concentration":
-            dims = [int(d) for d in str(args.dims).split(",") if d]
-            if not dims:
-                raise ConfigError("--dims must list at least one dimension")
-            return cmd_concentration(cfg, timestamp, dims, args.pairs)
+            dims = [d for d in args.dims.split(",") if d]
+            if not dims or not all(d.strip().isdecimal() and int(d) >= MIN_DIM for d in dims):
+                raise ConfigError(f"--dims must be a comma-separated list of integers >= "
+                                  f"{MIN_DIM}, got {args.dims!r}")
+            if args.pairs < MIN_PAIRS:
+                raise ConfigError(f"--pairs must be >= {MIN_PAIRS}, got {args.pairs}")
+            return cmd_concentration(cfg, timestamp, [int(d) for d in dims], args.pairs)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -111,6 +111,14 @@ def _number(what: str, value, low: float, high: float = math.inf, above: bool = 
     return float(value)
 
 
+# Each encoder layer type but an activation: its spec and the (key, default, least
+# value) of each of its fields, in order; a key whose default is None must be given.
+LAYER_KEYS = {"conv": (Conv, (("filters", None, 1), ("kernel", None, 1), ("stride", 1, 1),
+                              ("padding", 0, 0))),
+              "dense": (Dense, (("out_dim", None, 1),)),
+              "gap": (GlobalAvgPool, ())}
+
+
 def parse_encoder_spec(items) -> list:
     """Config encoder entries to model layer specs."""
     _require(isinstance(items, list), f"encoder must be a list of layers, got {items!r}")
@@ -119,21 +127,14 @@ def parse_encoder_spec(items) -> list:
         where = f"encoder layer {i}: "
         _require(isinstance(item, dict), f"encoder layer {i} must be an object, got {item!r}")
         kind = item.get("type")
-        if kind == "conv":
-            # (key, default, least value) of Conv's first four fields
-            sizes = (_int(where + key, item.get(key, default), least) for key, default, least
-                     in (("filters", None, 1), ("kernel", None, 1), ("stride", 1, 1),
-                         ("padding", 0, 0)))
-            ch = item.get("in_channels")
-            layers.append(Conv(*sizes, ch if ch is None else _int(where + "in_channels", ch, 1)))
-        elif kind == "gap":
-            layers.append(GlobalAvgPool())
-        elif kind == "dense":
-            layers.append(Dense(_int(where + "out_dim", item.get("out_dim"), 1)))
-        elif isinstance(kind, str) and kind in _ACTIVATIONS:
-            layers.append(Activation(kind))
-        else:
-            raise ConfigError(f"{where}unknown type {kind!r}")
+        _require(isinstance(kind, str) and (kind in LAYER_KEYS or kind in _ACTIVATIONS),
+                 f"{where}unknown type {kind!r}")
+        layer, keys = LAYER_KEYS.get(kind, (None, ()))
+        unknown = set(item) - {"type", *(key for key, _, _ in keys)}
+        _require(not unknown, f"{where}unknown keys {sorted(unknown)} for type {kind}")
+        sizes = (_int(where + key, item.get(key, default), least)
+                 for key, default, least in keys)
+        layers.append(Activation(kind) if layer is None else layer(*sizes))
     return layers
 
 
@@ -156,8 +157,10 @@ def _task_entry(i: int, entry, splits: dict) -> dict:
                      f"{NAME_CHARS} (it names a file), got {value!r}")
         elif key == "input_shape":
             _require(isinstance(value, (list, tuple)) and len(value) >= 2
-                     and all(type(d) is int and d >= least for d in value),
-                     f"{what} must be a list of 2 or more integers >= {least}, got {value!r}")
+                     and all(type(d) is int and d >= least for d in value)
+                     and math.prod(value) >= 2,
+                     f"{what} must be a list of 2 or more integers >= {least} that multiply "
+                     f"to 2 or more, got {value!r}")
         elif isinstance(least, float):
             value = _number(what, value, least)
         else:

@@ -111,7 +111,7 @@ def consecutive_trace(trace: GradTrace):
 
 
 def pairwise_matrix(pairs: list[ConsecutivePair], num_tasks: int,
-                    window: float = 10) -> PairwiseCosMatrix:
+                    window: float) -> PairwiseCosMatrix:
     """Final rolling-mean cosine distance per (previous task, current task) cell.
 
     `pairs` is a `consecutive_trace` series. Cell (i, j) aggregates the
@@ -168,6 +168,9 @@ def _percentile(ordered: np.ndarray, q: float) -> float:
     return float(b - step * (1 - gamma) if gamma >= 0.5 else a + step * gamma)
 
 
+MIN_DIM, MIN_PAIRS = 2, 1000  # the least dim and pairs per dim concentration_experiment takes
+
+
 def concentration_experiment(dims, n_pairs: int, rng) -> list[ConcentrationStat]:
     """Cosine similarity of independent standard-normal vector pairs per dim.
 
@@ -176,10 +179,10 @@ def concentration_experiment(dims, n_pairs: int, rng) -> list[ConcentrationStat]
     `concentration_sample`, in the order of `dims`.
     """
     dims = [int(d) for d in dims]
-    if any(d < 2 for d in dims):
-        raise ValueError("dimensions must be >= 2")
-    if n_pairs < 1000:
-        raise ValueError("need at least 1000 pairs per dimension")
+    if any(d < MIN_DIM for d in dims):
+        raise ValueError(f"dimensions must be >= {MIN_DIM}")
+    if n_pairs < MIN_PAIRS:
+        raise ValueError(f"need at least {MIN_PAIRS} pairs per dimension")
     out = []
     for d in dims:
         sims = concentration_sample(d, n_pairs, rng)

@@ -80,7 +80,6 @@ class Conv:
     kernel: int
     stride: int = 1
     padding: int = 0
-    in_channels: int | None = None  # validated against the incoming shape if given
 
 
 @dataclass(frozen=True)
@@ -114,19 +113,13 @@ def _propagate(layer, shape, index):
     if isinstance(layer, Conv):
         if len(shape) != 3:
             raise ModelSpecError(f"layer {index}: conv needs a (C,H,W) input, got {shape}")
-        c, h, w = shape
-        if layer.in_channels is not None and layer.in_channels != c:
-            raise ModelSpecError(
-                f"layer {index}: conv expects {layer.in_channels} input channels, "
-                f"previous layer produces {c}")
+        _, h, w = shape
         ho = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
         wo = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
         if ho < 1 or wo < 1:
             raise ModelSpecError(f"layer {index}: degenerate output extent {ho}x{wo}")
         return (layer.filters, ho, wo)
     if isinstance(layer, Activation):
-        if layer.kind not in ad._ACTIVATIONS:
-            raise ModelSpecError(f"layer {index}: unknown activation {layer.kind!r}")
         return shape
     if isinstance(layer, GlobalAvgPool):
         if len(shape) != 3:
@@ -135,8 +128,6 @@ def _propagate(layer, shape, index):
     if isinstance(layer, Dense):
         if len(shape) != 1:
             raise ModelSpecError(f"layer {index}: dense needs a flat input, got {shape}")
-        if layer.out_dim < 1:
-            raise ModelSpecError(f"layer {index}: dense output dim must be positive")
         return (layer.out_dim,)
     raise ModelSpecError(f"layer {index}: unknown layer spec {layer!r}")
 
@@ -205,7 +196,7 @@ def build_encoder(spec: list, input_shape, store: ParamStore, rng) -> EncoderMod
     for i, layer in enumerate(spec):
         new_shape = _propagate(layer, shape, i)
         if isinstance(layer, GlobalAvgPool) and trunk_len == len(spec):
-            trunk_len = i
+            trunk_len, map_shape = i, shape
         if isinstance(layer, Conv):
             c = shape[0]
             fan_in = c * layer.kernel * layer.kernel
@@ -220,10 +211,8 @@ def build_encoder(spec: list, input_shape, store: ParamStore, rng) -> EncoderMod
             for name, t in (("weight", w), ("bias", b)):
                 store.add(group, f"{group}/layer{i:02d}.{name}", t)
         shape = new_shape
-
-    map_shape = input_shape
-    for i in range(trunk_len):
-        map_shape = _propagate(spec[i], map_shape, i)
+    if trunk_len == len(spec):
+        map_shape = shape
 
     feature_dim = int(np.prod(shape)) if shape else 1
     return EncoderModel(
@@ -316,11 +305,7 @@ def build_segmentation_decoder(task_id: int, feature_map_shape, num_classes: int
     The upsample factors must restore the task's input resolution exactly.
     """
     c, h, w = (int(d) for d in feature_map_shape)
-    if num_classes < 1:
-        raise ModelSpecError(f"num_classes must be positive, got {num_classes}")
     factors = tuple(int(f) for f in upsample_factors)
-    if any(f < 1 for f in factors):
-        raise ModelSpecError(f"upsample factors must be >= 1, got {factors}")
     ho, wo = h, w
     for f in factors:
         ho, wo = ho * f, wo * f

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .metrics import InstanceStack, MaskError, connected_components
+from .metrics import InstanceStack, MaskError, _unique, connected_components
 from .tensorio import BlockWriter, FileFormatError, read_file
 
 DATASET_MAGIC = b"MTLD"
@@ -67,6 +67,7 @@ class TaskDataset:
     split: np.ndarray      # (n,) int32, 0 = train, 1 = eval
     seed: int
     crc32: int | None = None  # the CRC32 trailer of the file it was loaded from
+    header: DatasetHeader | None = None  # the header of that file
     _train_idx: np.ndarray = field(init=False, repr=False)
     _eval_idx: np.ndarray = field(init=False, repr=False)
 
@@ -469,8 +470,8 @@ def load_dataset(path, split: str | None = None) -> TaskDataset:
     try:
         if tables is not None:
             targets = _instances(targets, tables)
-        return TaskDataset(spec, inputs, targets,
-                           row_split if keep is None else row_split[keep], head.seed, crc32)
+        return TaskDataset(spec, inputs, targets, row_split if keep is None
+                           else row_split[keep], head.seed, crc32, head)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
 
@@ -500,7 +501,8 @@ def load_mask(path) -> InstanceStack:
         mask = InstanceStack(ids[None], np.insert(pairs, 0, 0, axis=1))
     except MaskError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
-    unlabeled = np.setdiff1d(mask.ids, np.append(pairs[:, 0], 0))
+    ids = _unique(mask.ids.ravel())
+    unlabeled = ids[~np.isin(ids, np.append(pairs[:, 0], 0))]
     if unlabeled.size:
         raise FileFormatError(f"{path}: instance ids without class labels: "
                               f"{unlabeled.tolist()}")

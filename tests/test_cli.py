@@ -1,3 +1,4 @@
+import builtins
 import csv
 import ctypes
 import gc
@@ -155,6 +156,12 @@ CLS = {"kind": "classification", "num_classes": 3}
      ["encoder layer 1", "filters"]),
     ({"encoder": [{"type": "conv", "filters": 4, "kernel": 3, "stride": 0}]},
      ["encoder layer 0", "stride"]),
+    ({"suite": {"tasks": [{**CLS, "input_shape": [1, 1]}]}}, ["suite task 0", "input_shape"]),
+    ({"encoder": [{"type": "conv", "filters": 4, "kernel": 3, "strides": 2}]},
+     ["encoder layer 0", "strides"]),
+    ({"encoder": [{"type": "relu"}, {"type": "conv", "filters": 4, "kernel": 3,
+                                     "in_channels": 3}]}, ["encoder layer 1", "in_channels"]),
+    ({"encoder": [{"type": "gap", "filters": 4}]}, ["encoder layer 0", "filters"]),
 ])
 def test_malformed_config_is_a_config_error_naming_the_key(tmp_path, capsys, payload, words):
     out = tmp_path / "run"
@@ -447,7 +454,7 @@ def test_train_zero_iterations_checkpoint_equals_init(tmp_path):
     assert rows == []
 
     conf = load_config(cfg)
-    tasks = _load_manifest_tasks(conf)
+    tasks = list(_load_manifest_tasks(conf).values())
     store, _, _, _ = _build_models(conf, tasks)
     ck = load_checkpoint(out / "checkpoint_final.mtlc")
     assert ck.t == 0
@@ -749,6 +756,21 @@ def test_concentration_std_decreasing_and_deterministic(tmp_path):
     assert (out / "concentration.csv").read_bytes() == first
 
 
+@pytest.mark.parametrize("flags,words", [
+    (["--pairs", "10"], ["--pairs", "1000"]),
+    (["--dims", "1"], ["--dims", "'1'"]),
+    (["--dims", "4,a"], ["--dims", "'4,a'"]),
+    (["--dims", ","], ["--dims"]),
+], ids=["few-pairs", "dim-1", "dim-not-a-number", "no-dims"])
+def test_bad_concentration_flags_are_a_config_error_naming_the_flag(tmp_path, capsys, flags,
+                                                                    words):
+    out = tmp_path / "conc"
+    assert main(["concentration", "--out", str(out), "--no-timestamp", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and all(w in err for w in words), err
+    assert not out.exists()
+
+
 def test_concentration_d100_band(tmp_path):
     out = tmp_path / "conc"
     assert main(["concentration", "--out", str(out), "--no-timestamp",
@@ -806,7 +828,7 @@ def _trace_from_memory(cfg_path, path):
     from mtlab.config import load_config
 
     cfg = load_config(cfg_path)
-    tasks = cli._load_manifest_tasks(cfg)
+    tasks = list(cli._load_manifest_tasks(cfg).values())
     store, enc, decs, states = cli._build_models(cfg, tasks)
     tcfg = trainer.TrainConfig(iterations=cfg.iterations, batch_size=cfg.batch_size,
                                seed=cfg.seed, diagnostics=cfg.diagnostics)
@@ -924,6 +946,7 @@ assert eager or "numpy.ma" not in sys.modules
 mask = InstanceStack(np.array([[[0, 1], [2, 2]]]), [(0, 1, 1), (0, 2, 2)])
 save_mask(out + "/mask.mtlm", mask)
 assert main(["pq", out + "/mask.mtlm", out + "/mask.mtlm", "--class-aware"]) == 0
+assert eager or "numpy.ma" not in sys.modules
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -932,6 +955,24 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+
+
+def test_train_opens_each_dataset_file_and_the_manifest_once(tmp_path, monkeypatch):
+    cfg, out = _small_config(tmp_path, iterations=3)
+    assert main(["generate", "--config", str(cfg), "--no-timestamp"]) == 0
+    opened = []
+    real_open = builtins.open
+
+    def counting(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    assert main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+    monkeypatch.undo()
+    data = sorted((out / "data").iterdir())
+    assert len(data) == 3  # two datasets and the manifest
+    assert {path.name: opened.count(path) for path in data} == {path.name: 1 for path in data}
 
 
 def test_a_failed_config_used_write_leaves_the_resume_point_whole(tmp_path, monkeypatch):

@@ -41,13 +41,6 @@ def test_empty_spec_is_identity_encoder():
     np.testing.assert_array_equal(feats.data, x.reshape(1, 48))
 
 
-def test_channel_mismatch_reports_layer_index():
-    store = ParamStore()
-    with pytest.raises(ModelSpecError, match="layer 1"):
-        build_encoder([Conv(8, 3, padding=1), Conv(4, 3, in_channels=3)],
-                      (3, 16, 16), store, _rng())
-
-
 def test_dense_after_spatial_rejected():
     with pytest.raises(ModelSpecError, match="layer 0"):
         build_encoder([Dense(4)], (3, 8, 8), ParamStore(), _rng())

@@ -10,7 +10,8 @@ PIPELINE plus `concentration`) and the three workloads of
 `perfbench/workloads.py` at seed 1. Each command is a fresh
 `python -m mtlab.cli` with one BLAS thread and `--no-timestamp`, from the
 config's own directory with a relative `out_dir`, so `config_used.json` records the same `out_dir`
-on both sides and every output file can be compared whole.
+on both sides and every output file can be compared whole. What each command
+prints is saved beside the config as `<command>.stdout` and compared too.
 
 Prints one line per output file, `same`, `differs` or `missing` (on one
 side), and exits 1 if a file differs or is missing without a `--differs`
@@ -68,6 +69,7 @@ def run_side(src: Path, dest: Path) -> Path:
             if proc.returncode != 0:
                 raise RuntimeError(f"{src}: {name}: mtlab {cmd} exited {proc.returncode}:\n"
                                    f"{proc.stderr}")
+            (where / f"{cmd}.stdout").write_text(proc.stdout)
     return dest
 
 
